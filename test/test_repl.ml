@@ -36,6 +36,8 @@ module E = Cactis_repl.Repl_error
 module Replica = Cactis_repl.Replica
 module Publisher = Cactis_repl.Publisher
 module Follower = Cactis_repl.Follower
+module Server = Cactis_net.Server
+module Client = Cactis_net.Client
 module G = Gen_schemas
 module Proxy = Repl_proxy
 
@@ -444,6 +446,56 @@ let test_reconnect_resume () =
   Alcotest.(check int) "resume, not re-bootstrap" 0 (counter (follower_db f) "repl.bootstraps");
   Follower.stop f;
   Proxy.stop proxy;
+  stop_env env
+
+(* ------------------------------------------------------------------ *)
+(* Read-only replica server (`cactis serve --follow`)                  *)
+
+(* The follower's database served read-only, wired the way the CLI
+   wires [serve --follow]: sync first, start the server over the
+   replica database, then stream on a domain of its own. *)
+let serve_follow port =
+  let f = follower ~cfg:(fast_cfg ~check_every:0 ()) port in
+  let db = Follower.sync f in
+  let server =
+    Server.start ~config:(Server.config ~readers:2 ~read_only:true ()) ~make_schema db
+  in
+  Follower.set_apply f (Some (fun record -> ignore (Server.inject server record)));
+  let d = Domain.spawn (fun () -> try Follower.run f with _ -> ()) in
+  (f, server, d)
+
+let test_follow_server () =
+  let env = writer_env () in
+  let id = ref 0 in
+  Db.with_txn env.db (fun () ->
+      id := Db.create_instance env.db "k";
+      Db.set env.db !id "a0" (Value.Int 1));
+  let id = !id in
+  let f, server, d = serve_follow (Publisher.port env.pub) in
+  let cl = Client.connect ~port:(Server.port server) () in
+  for i = 2 to 6 do
+    Db.set env.db id "a0" (Value.Int i);
+    if i = 4 then Persist.checkpoint env.p;
+    (* Sync returns as soon as the replica database exists, so the
+       first reads may precede the instance's creation there. *)
+    let reads_writer () =
+      match
+        ( Client.read ~min_version:0 cl ~instance:id ~attr:"a0",
+          Client.read ~min_version:0 cl ~instance:id ~attr:"r0" )
+      with
+      | (a0, _), (r0, _) -> Value.equal a0 (Value.Int i) && Value.equal r0 (Value.Int ((i * 2) + 1))
+      | exception Client.Remote { code = Cactis_net.Proto.E_unknown; _ } -> false
+    in
+    wait_for (Printf.sprintf "follower server reads commit %d" i) reads_writer
+  done;
+  (match Client.commit cl [ Cactis_net.Proto.Set { instance = id; attr = "a0"; value = Value.Int 0 } ] with
+  | exception Client.Remote { code = Cactis_net.Proto.E_protocol; _ } -> ()
+  | _ -> Alcotest.fail "a commit on the read-only replica server must be refused");
+  Client.close cl;
+  Follower.stop f;
+  Domain.join d;
+  Server.stop server;
+  assert_converged ~msg:"served replica" env.db f;
   stop_env env
 
 (* ------------------------------------------------------------------ *)
@@ -877,6 +929,8 @@ let () =
             test_bootstrap_from_checkpoint;
           Alcotest.test_case "mid-stream truncation resumes without re-bootstrap" `Quick
             test_reconnect_resume;
+          Alcotest.test_case "read-only replica server follows the writer" `Quick
+            test_follow_server;
         ] );
       ( "refusal",
         [
