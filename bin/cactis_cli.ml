@@ -469,12 +469,7 @@ let serve_cmd schema_path script_path port readers trace_sample persist metrics_
             exit 1
           end;
           let fhost, fport = parse_hostport upstream in
-          (* Drift checks stay off: once the server starts, the replica
-             db belongs to its writer domain. *)
-          Some
-            (Follower.create
-               ~config:(Follower.config ~check_every:0 ())
-               ~make_schema ~host:fhost ~port:fport ())
+          Some (Follower.create ~make_schema ~host:fhost ~port:fport ())
       in
       let p, db =
         match follower with
@@ -494,10 +489,7 @@ let serve_cmd schema_path script_path port readers trace_sample persist metrics_
           | None ->
             Printf.eprintf "error: --repl-port requires --persist (the WAL is what is shipped)\n";
             exit 1
-          | Some p ->
-            (* Before Server.start, so the server's delta broadcast
-               chains after the shipping hook. *)
-            Some (Publisher.start ~config:(Publisher.config ~port:rp ()) p))
+          | Some p -> Some (Publisher.start ~config:(Publisher.config ~port:rp ()) p))
       in
       let watchdog =
         Option.map
@@ -511,13 +503,12 @@ let serve_cmd schema_path script_path port readers trace_sample persist metrics_
                ?flight_dir ~read_only:(follower <> None) ())
           ~make_schema db
       in
-      (* Replica mode: shipped records now route through the server's
-         writer domain, so the master and its reader replicas advance
-         together. *)
+      (* Replica mode: the follower's domain owns the replica database;
+         each record it replays reaches the reader domains through the
+         server's record subscription. *)
       let follower_domain =
         Option.map
           (fun f ->
-            Follower.set_apply f (Some (fun record -> ignore (Server.inject server record)));
             Domain.spawn (fun () ->
                 try Follower.run f
                 with e ->
@@ -566,8 +557,8 @@ let serve_cmd schema_path script_path port readers trace_sample persist metrics_
       Printf.printf "\ncactis: shutting down (version %d)\n%!" (Server.published_version server);
       (match follower with Some f -> Follower.stop f | None -> ());
       (match follower_domain with Some d -> Domain.join d | None -> ());
-      (match publisher with Some pub -> Publisher.stop pub | None -> ());
       Server.stop server;
+      (match publisher with Some pub -> Publisher.stop pub | None -> ());
       (match p with Some p -> Persist.close p | None -> ());
       List.iter
         (fun (n, v) -> Printf.printf "  %-28s %d\n" n v)

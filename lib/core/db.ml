@@ -43,11 +43,12 @@ type t = {
   mutable auto : auto_recluster option;
   mutable profiling : bool;  (* arm a fresh propagation profile per commit *)
   mutable last_profile : Profile.snapshot option;
-  mutable commit_hook : (Txn.delta -> unit) option;
-      (* durability observer (see Persist): called with every delta the
-         database state moves across — commits, undos (inverted), redos
-         and checkout steps — so a write-ahead log replays to the same
-         state. *)
+  mutable subscribers : (int * (string -> unit)) list;
+      (* in subscription order, keyed for unsubscribe: each receives the
+         encoded record of every delta the database state moves across —
+         commits, undos (inverted), redos, checkout steps and replayed
+         records — so a write-ahead log replays to the same state. *)
+  mutable next_sub : int;
   mutable baseline_schema_ops : Txn.op list;
       (* schema deltas already folded into the code-supplied schema this
          database was created with (loaded from a snapshot's schema
@@ -74,7 +75,8 @@ let create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes ?strate
       auto = None;
       profiling = false;
       last_profile = None;
-      commit_hook = None;
+      subscribers = [];
+      next_sub = 0;
       baseline_schema_ops = [];
     }
   in
@@ -125,11 +127,19 @@ let harvest_profile t =
     Engine.set_profile t.eng None
   | None -> ()
 
-let set_commit_hook t hook = t.commit_hook <- hook
-let commit_hook t = t.commit_hook
+let subscribe t f =
+  let key = t.next_sub in
+  t.next_sub <- key + 1;
+  t.subscribers <- t.subscribers @ [ (key, f) ];
+  fun () -> t.subscribers <- List.filter (fun (k, _) -> k <> key) t.subscribers
 
-let notify_hook t delta =
-  match t.commit_hook with None -> () | Some f -> f delta
+let subscribed t = t.subscribers <> []
+
+(* One encoding per delta, shared by every subscriber. *)
+let notify t record = List.iter (fun (_, f) -> f record) t.subscribers
+
+let notify_delta t delta =
+  if t.subscribers <> [] then notify t (Codec.encode_delta delta)
 
 (* ------------------------------------------------------------------ *)
 (* Schema deltas
@@ -342,7 +352,7 @@ let commit t =
       t.head <- Some { vid = t.next_vid; delta; parent = t.head; depth };
       Flight.record Flight.Txn_commit ~a:t.next_vid ~b:(List.length ops);
       t.next_vid <- t.next_vid + 1;
-      notify_hook t delta
+      notify_delta t delta
     end;
     maintenance_step t;
     Histogram.observe t.h_commit (Clock.elapsed_s ~since:start_ns);
@@ -500,20 +510,18 @@ let serializability_gap (change : Txn.schema_change) =
   | Txn.Schema_add_type _ | Txn.Schema_add_rel _ | Txn.Schema_add_export _ -> None
 
 let run_schema_change t change =
-  (* Fail fast when a durability hook is attached: the hook encodes this
-     delta at commit, and Codec raising mid-hook on an opaque closure
-     would be too late.  Without a hook (in-memory databases), opaque
-     closures remain allowed. *)
-  (match t.commit_hook with
-  | None -> ()
-  | Some _ -> (
-    match serializability_gap change with
-    | None -> ()
-    | Some what ->
-      Errors.type_error
-        "cannot log schema change: %s has no serializable rule expression (declare it through \
-         the DDL front end, or pass ~expr / ~predicate_expr / ~attr_exprs)"
-        what));
+  (* Fail fast when anything subscribes: this delta is encoded at
+     commit, and Codec raising mid-notification on an opaque closure
+     would be too late.  Without subscribers (in-memory databases),
+     opaque closures remain allowed. *)
+  (if subscribed t then
+     match serializability_gap change with
+     | None -> ()
+     | Some what ->
+       Errors.type_error
+         "cannot log schema change: %s has no serializable rule expression (declare it through \
+          the DDL front end, or pass ~expr / ~predicate_expr / ~attr_exprs)"
+         what);
   let change_name =
     match change with
     | Txn.Schema_add_type _ -> "add_type"
@@ -618,7 +626,7 @@ let step_back t =
     apply_inverse_newest_first t (List.rev n.delta.Txn.ops);
     Engine.propagate t.eng;
     t.head <- n.parent;
-    notify_hook t (Txn.inverse n.delta);
+    notify_delta t (Txn.inverse n.delta);
     n
 
 (* Move forward onto a known child node. *)
@@ -626,7 +634,7 @@ let step_forward t (n : vnode) =
   List.iter (exec_forward_unlogged t) n.delta.Txn.ops;
   Engine.propagate t.eng;
   t.head <- Some n;
-  notify_hook t n.delta
+  notify_delta t n.delta
 
 let undo_last t =
   if in_txn t then Errors.type_error "cannot undo while a transaction is open";
@@ -699,19 +707,22 @@ let checkout t name =
 (* ------------------------------------------------------------------ *)
 (* Recovery replay                                                     *)
 
-(* Re-apply one logged delta during crash recovery: ops run through the
-   unlogged forward path (no open transaction, no hook — the log already
-   holds this record) and the delta joins the version history so undo
-   works across a restart.  Propagation is the caller's job once the
-   whole log tail is replayed. *)
-let replay_delta t (d : Txn.delta) =
+(* The one entry point for logged and shipped records (recovery, the
+   reader replicas, log-shipping followers): decode, run the ops through
+   the unlogged forward path (no open transaction), join the version
+   history so undo works across a restart, and hand the same bytes to
+   the subscribers.  Propagation is the caller's job — recovery
+   propagates once after the whole log tail. *)
+let replay_record t record =
   if in_txn t then Errors.type_error "cannot replay while a transaction is open";
+  let d = Codec.decode_delta record in
   List.iter (exec_forward_unlogged t) d.Txn.ops;
   if d.Txn.ops <> [] then begin
     let depth = match t.head with Some n -> n.depth + 1 | None -> 1 in
     t.head <- Some { vid = t.next_vid; delta = d; parent = t.head; depth };
     t.next_vid <- t.next_vid + 1
-  end
+  end;
+  notify t record
 
 (* ------------------------------------------------------------------ *)
 (* Storage management                                                  *)

@@ -153,10 +153,11 @@ val subtype_members : t -> string -> int list
     Derived rules are closures; to be serializable into the WAL they
     need their DDL expression source alongside ([~expr],
     [~predicate_expr], [~attr_exprs] — supplied automatically when
-    declaring through [Cactis_ddl.Elaborate]).  When a durability hook
-    is attached ({!set_commit_hook}), declaring a derived definition
-    {e without} its source raises [Errors.Type_error] up front; purely
-    in-memory databases accept opaque closures as before. *)
+    declaring through [Cactis_ddl.Elaborate]).  While anything
+    subscribes to the database's records ({!subscribe} — the WAL, a
+    server's reader broadcast), declaring a derived definition {e
+    without} its source raises [Errors.Type_error] up front; databases
+    nobody subscribes to accept opaque closures as before. *)
 
 (** [add_type t name] declares a fresh object class. *)
 val add_type : t -> string -> unit
@@ -255,27 +256,38 @@ val schema_ops_on_path : t -> Txn.op list
 (** [List.length (schema_ops_on_path t)] — the current schema version. *)
 val schema_step_count : t -> int
 
-(** {1 Durability (see {!Persist})} *)
+(** {1 Records and subscribers}
 
-(** [set_commit_hook t hook] installs (or clears, with [None]) the
-    durability observer: it receives every delta the database state
-    moves across — committed transactions, undos (as the inverse delta),
-    redos and checkout steps — in application order, so appending each
-    to a write-ahead log lets recovery replay to the same state. *)
-val set_commit_hook : t -> (Txn.delta -> unit) option -> unit
+    A {e record} is the {!Codec.encode_delta} encoding of one delta the
+    database state moves across: a committed transaction, an undo (as
+    the inverse delta), a redo, a checkout step, or a record replayed by
+    {!replay_record}.  The database encodes each delta once, and only
+    while someone subscribes; every subscriber receives the same bytes,
+    in subscription order, in the order the state moved.  Appending
+    them to a log ({!Persist}) lets recovery replay to the same state;
+    the server broadcasts them to its reader replicas. *)
 
-(** The currently installed hook, if any.  A layer that needs to stack
-    another observer on top (e.g. the server broadcasting deltas to
-    reader replicas after {!Persist.attach} installed the WAL hook)
-    reads the current hook and installs a wrapper that calls both. *)
-val commit_hook : t -> (Txn.delta -> unit) option
+(** [subscribe t f] appends [f] to the ordered subscriber list and
+    returns the function that removes it again (removing only [f], so
+    subscribers stack and leave independently).  [f] runs synchronously
+    on the domain that moved the state — inside {!commit}, before it
+    returns.  Subscribe and unsubscribe from the domain that owns [t],
+    or while nothing else uses it. *)
+val subscribe : t -> (string -> unit) -> unit -> unit
 
-(** [replay_delta t d] re-applies a logged delta during crash recovery:
-    ops run unlogged (no hook — the log already holds this record) and
-    the delta joins the version history so undo works across a restart.
-    The caller propagates once after replaying the whole log tail.
+(** Whether any subscriber is attached. *)
+val subscribed : t -> bool
+
+(** [replay_record t record] — the one replay entry point for logged and
+    shipped records (crash recovery, reader replicas, log-shipping
+    followers): decodes the record, re-applies its ops unlogged, joins
+    the delta to the version history so undo works across a restart,
+    and passes the same bytes to the subscribers.  The caller
+    propagates ({!Engine.propagate}) when it needs derived values
+    settled — once per record, or once after a whole log tail.
+    @raise Codec.Error if [record] does not decode.
     @raise Errors.Type_error if a transaction is open. *)
-val replay_delta : t -> Txn.delta -> unit
+val replay_record : t -> string -> unit
 
 (** {1 Storage management} *)
 

@@ -4,18 +4,24 @@ module Clock = Cactis_obs.Clock
 module Trace = Cactis_obs.Trace
 module Histogram = Cactis_obs.Histogram
 
+type tail =
+  | Record of { generation : int; position : int; record : string }
+  | Mark of int
+
 type t = {
   dir : string;
   db : Db.t;
   mutable wal : Wal.writer;
   sync_every : int;
-  auto_checkpoint : int;  (* WAL bytes that trigger a checkpoint; 0 = never *)
   mutable generation : int;  (* checkpoint generation on disk *)
   mutable cp_base : int;  (* appended_bytes at the last checkpoint *)
   mutable wal_base : int;  (* records already in the log when the writer opened *)
   mutable replayed : int;
   mutable torn : bool;
   mutable closed : bool;
+  mutable unsubscribe : unit -> unit;  (* from the database's records *)
+  mutable listeners : (int * (tail -> unit)) list;  (* log order, keyed *)
+  mutable next_listener : int;
 }
 
 let snapshot_file dir = Filename.concat dir "snapshot.bin"
@@ -88,9 +94,17 @@ let read_checkpoint t =
 
 (* WAL frame bytes appended since the last checkpoint — the O(delta)
    commit cost the experiments measure.  [cp_base] is negative right
-   after attach/recover over a log that already held frames, so bytes
-   that predate this writer still count toward [auto_checkpoint]. *)
+   after recover over a log that already held frames, so bytes that
+   predate this writer still count. *)
 let wal_bytes t = Wal.appended_bytes t.wal - t.cp_base
+
+let listen t f =
+  let key = t.next_listener in
+  t.next_listener <- key + 1;
+  t.listeners <- t.listeners @ [ (key, f) ];
+  fun () -> t.listeners <- List.filter (fun (k, _) -> k <> key) t.listeners
+
+let tell t item = List.iter (fun (_, f) -> f item) t.listeners
 
 let checkpoint t =
   if Db.in_txn t.db then Errors.type_error "cannot checkpoint inside a transaction";
@@ -114,6 +128,7 @@ let checkpoint t =
   Cactis_obs.Flight.record Cactis_obs.Flight.Checkpoint ~a:generation
     ~b:(Db.schema_step_count t.db);
   Counters.incr (Db.counters t.db) "checkpoints";
+  tell t (Mark generation);
   let obs = Db.obs t.db in
   Histogram.observe_named obs.Cactis_obs.Ctx.hists "checkpoint"
     (Clock.elapsed_s ~since:start_ns);
@@ -124,15 +139,15 @@ let checkpoint t =
         [ ("generation", Trace.I generation); ("snapshot_bytes", Trace.I (String.length data)) ]
       ~start_ns "checkpoint"
 
-let install_hook t =
-  Db.set_commit_hook t.db
-    (Some
-       (fun delta ->
-         Wal.append t.wal (Codec.encode_delta delta);
-         Counters.incr (Db.counters t.db) "wal_appends";
-         if t.auto_checkpoint > 0 && wal_bytes t >= t.auto_checkpoint then checkpoint t))
+let subscribe t =
+  t.unsubscribe <-
+    Db.subscribe t.db (fun record ->
+        Wal.append t.wal record;
+        Counters.incr (Db.counters t.db) "wal_appends";
+        if t.listeners <> [] then
+          tell t (Record { generation = t.generation; position = wal_records t; record }))
 
-let attach ?(sync_every = 1) ?(auto_checkpoint = 0) ~dir db =
+let attach ?(sync_every = 1) ~dir db =
   ensure_dir dir;
   let sf = snapshot_file dir in
   let snap_gen, snap_sv = if Sys.file_exists sf then snapshot_versions sf else (0, 0) in
@@ -158,13 +173,15 @@ let attach ?(sync_every = 1) ?(auto_checkpoint = 0) ~dir db =
       db;
       wal;
       sync_every;
-      auto_checkpoint;
       generation;
       cp_base = 0;
       wal_base = List.length existing.Wal.records;
       replayed = 0;
       torn = false;
       closed = false;
+      unsubscribe = ignore;
+      listeners = [];
+      next_listener = 0;
     }
   in
   (* The log is only replayable against a baseline snapshot of this
@@ -177,11 +194,10 @@ let attach ?(sync_every = 1) ?(auto_checkpoint = 0) ~dir db =
     Sys.file_exists sf || existing.Wal.records <> [] || existing.Wal.torn
     || Db.instance_ids db <> [] || Db.history db <> []
   then checkpoint t;
-  install_hook t;
+  subscribe t;
   t
 
-let recover ?strategy ?sched ?block_capacity ?buffer_capacity ?(sync_every = 1)
-    ?(auto_checkpoint = 0) ~dir schema =
+let recover ?strategy ?sched ?block_capacity ?buffer_capacity ?(sync_every = 1) ~dir schema =
   ensure_dir dir;
   let sf = snapshot_file dir in
   let snap_gen, db =
@@ -215,7 +231,7 @@ let recover ?strategy ?sched ?block_capacity ?buffer_capacity ?(sync_every = 1)
        version %d (checkpoint file deleted or replaced?)"
       dir wal_sv snap_sv;
   let records = if stale then [] else records in
-  List.iter (fun record -> Db.replay_delta db (Codec.decode_delta record)) records;
+  List.iter (Db.replay_record db) records;
   Engine.propagate (Db.engine db);
   let obs = Db.obs db in
   Histogram.observe_named obs.Cactis_obs.Ctx.hists "recovery_replay"
@@ -236,16 +252,18 @@ let recover ?strategy ?sched ?block_capacity ?buffer_capacity ?(sync_every = 1)
       db;
       wal;
       sync_every;
-      auto_checkpoint;
       generation = snap_gen;
       cp_base = (if stale then Wal.appended_bytes wal else -(max 0 (valid_end - data_start)));
       wal_base = List.length records;
       replayed = List.length records;
       torn = torn && not stale;
       closed = false;
+      unsubscribe = ignore;
+      listeners = [];
+      next_listener = 0;
     }
   in
-  install_hook t;
+  subscribe t;
   t
 
 let sync t = Wal.sync t.wal
@@ -253,6 +271,6 @@ let sync t = Wal.sync t.wal
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    Db.set_commit_hook t.db None;
+    t.unsubscribe ();
     Wal.close t.wal
   end

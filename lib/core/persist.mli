@@ -24,22 +24,29 @@
     {!recover} loads the checkpoint, replays the intact log prefix of
     the matching generation (discarding any torn tail, so a crash
     mid-append rolls back to the last durable transaction) and
-    re-attaches for further commits. *)
+    re-attaches for further commits.
+
+    The log is written by a {!Db.subscribe} subscriber: the database
+    encodes each delta once and the same record bytes go to the WAL and
+    to every later subscriber (the server's reader broadcast).  Its own
+    {!listen}ers receive the {e ordered log tail}: each appended record
+    with its cursor, and a mark for each checkpoint, in log order — what
+    a log-shipping publisher streams. *)
 
 type t
 
-(** [attach ?sync_every ?auto_checkpoint ~dir db] makes a live database
-    durable: every committed delta is appended to [dir]'s write-ahead
+(** [attach ?sync_every ~dir db] makes a live database durable: it
+    subscribes to [db]'s records and appends each to [dir]'s write-ahead
     log.  [sync_every] batches fsyncs (group commit): 1 (default) syncs
     every commit, [n] every [n]-th, 0 only on {!sync}/{!close}.
-    [auto_checkpoint] (bytes, 0 = never) checkpoints whenever the log
-    grows past the threshold.  If [db] holds instances, or [dir] already
+    Checkpoints happen only when {!checkpoint} is called, never inside
+    a commit.  If [db] holds instances, or [dir] already
     holds any persistent state (a checkpoint, log records, a torn tail)
     — state that was {e not} loaded into [db] — an initial checkpoint is
     written so the log has exactly this database as its baseline; stale
     directory contents are superseded.  Use {!recover} to continue from
     a directory's contents instead of overriding them. *)
-val attach : ?sync_every:int -> ?auto_checkpoint:int -> dir:string -> Db.t -> t
+val attach : ?sync_every:int -> dir:string -> Db.t -> t
 
 (** [recover ~dir schema] rebuilds the database from the last checkpoint
     plus the intact write-ahead-log prefix, truncates any torn tail, and
@@ -47,8 +54,9 @@ val attach : ?sync_every:int -> ?auto_checkpoint:int -> dir:string -> Db.t -> t
     checkpoint (crash inside {!checkpoint}) is discarded rather than
     replayed; a log stamped {e newer} than the checkpoint means the
     checkpoint file was deleted or replaced and raises rather than
-    replaying deltas against a state they do not belong to.
-    Engine/pager options mirror {!Db.create}.
+    replaying deltas against a state they do not belong to.  Records
+    replay through {!Db.replay_record}, with one propagation after the
+    whole tail.  Engine/pager options mirror {!Db.create}.
     @raise Errors.Type_error on generation mismatch or a corrupt
     checkpoint header. *)
 val recover :
@@ -57,7 +65,6 @@ val recover :
   ?block_capacity:int ->
   ?buffer_capacity:int ->
   ?sync_every:int ->
-  ?auto_checkpoint:int ->
   dir:string ->
   Schema.t ->
   t
@@ -98,6 +105,21 @@ val wal_path : t -> string
     @raise Errors.Type_error on a corrupt checkpoint header. *)
 val read_checkpoint : t -> (int * int * string) option
 
+(** One item of the ordered log tail.  [Record] is a record just
+    appended: the log now holds [position] records of checkpoint
+    [generation] (the replication cursor after it).  [Mark g] is a
+    checkpoint: the state is generation [g]'s snapshot and the log
+    restarts empty, at cursor [(g, 0)]. *)
+type tail =
+  | Record of { generation : int; position : int; record : string }
+  | Mark of int
+
+(** [listen t f] — call [f] with every later tail item, in log order,
+    synchronously on the domain that commits or checkpoints (after the
+    append, before the commit returns).  Returns the function that
+    removes [f]. *)
+val listen : t -> (tail -> unit) -> unit -> unit
+
 (** [checkpoint t] writes a fresh binary snapshot (atomic replace,
     stamped with the next generation) and then resets the log under the
     same generation — recovery afterwards replays nothing, and a crash
@@ -113,5 +135,6 @@ val wal_bytes : t -> int
 (** Force an fsync of everything appended so far (group commit flush). *)
 val sync : t -> unit
 
-(** Detach the hook and close the log (final fsync included). *)
+(** Unsubscribe from the database's records (other subscribers stay)
+    and close the log (final fsync included). *)
 val close : t -> unit

@@ -157,7 +157,13 @@ let neg = function
 let lt a b = compare a b < 0
 let le a b = compare a b <= 0
 
-let sum vs = List.fold_left (fun acc v -> add acc v) (Int 0) vs
+(* Numbers fold from [Int 0] (so a lone [Float (-0.)] still sums to
+   [0.]); anything else folds from its first element, since [Int 0] has
+   no sum with a time or a string. *)
+let sum = function
+  | (Int _ | Float _) :: _ as vs -> List.fold_left add (Int 0) vs
+  | v :: rest -> List.fold_left add v rest
+  | [] -> Int 0
 let count vs = Int (List.length vs)
 
 let extremum name better ?default vs =

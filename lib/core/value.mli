@@ -56,7 +56,8 @@ val le : t -> t -> bool
 (** Aggregates over value lists (used for values transmitted across
     relationships).  Empty input yields the natural unit: [sum]=0,
     [count]=0, [max_]/[min_] raise unless [default] is given,
-    [all_]=true, [any_]=false. *)
+    [all_]=true, [any_]=false.  [sum] adds with {!add}, so it also
+    totals times (day counts) and concatenates strings. *)
 
 val sum : t list -> t
 val count : t list -> t

@@ -30,7 +30,7 @@ let pop_line c =
     Some (String.sub s 0 i)
 
 let read_line ?(timeout_s = 30.0) c =
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let start_ns = Cactis_obs.Clock.now_ns () in
   let chunk = Bytes.create 4096 in
   let rec go () =
     match pop_line c with
@@ -45,7 +45,7 @@ let read_line ?(timeout_s = 30.0) c =
         end
         else None
       else begin
-        let remaining = deadline -. Unix.gettimeofday () in
+        let remaining = timeout_s -. Cactis_obs.Clock.elapsed_s ~since:start_ns in
         if remaining <= 0.0 then
           failwith (Printf.sprintf "load child %d: no output within %.1fs" c.c_pid timeout_s);
         match restart (fun () -> Unix.select [ c.c_fd ] [] [] remaining) with

@@ -1,7 +1,6 @@
 module Db = Cactis.Db
 module Schema = Cactis.Schema
 module Snapshot = Cactis.Snapshot
-module Codec = Cactis.Codec
 module Value = Cactis.Value
 module Engine = Cactis.Engine
 module Store = Cactis.Store
@@ -62,21 +61,9 @@ type job = {
   j_start_ns : int64;
 }
 
-(* A replicated record handed to the writer domain from outside the
-   client protocol (the WAL-shipping follower).  The injecting thread
-   blocks on [f_state] so it observes the published version — and any
-   replay failure — synchronously. *)
-type feed = {
-  f_record : string;  (* encoded delta, as shipped / as logged *)
-  f_mu : Mutex.t;
-  f_cond : Condition.t;
-  mutable f_state : (int, exn) result option;
-}
-
 type msg =
-  | Apply of int * string  (* version, encoded delta *)
+  | Apply of int * string  (* version, record *)
   | Serve of job
-  | Feed of feed
   | Quit
 
 type queue = {
@@ -123,6 +110,7 @@ type t = {
   names_mu : Mutex.t;
   mutable domain_names : (int * string) list;  (* domain id -> server role *)
   mutable domains : unit Domain.t list;
+  mutable unsubscribe : unit -> unit;  (* the reader broadcast's Db subscription *)
 }
 
 let port t = t.bound_port
@@ -219,16 +207,6 @@ let writer_serve t db { j_conn; j_env; j_req; j_start_ns } =
     send_resp t j_conn j_env resp ~verb:"commit" ~start_ns:j_start_ns
       ~version:(Atomic.get t.published)
       ~pager:(h1 - h0, m1 - m0)
-  | Proto.Open_session ->
-    let resp =
-      Proto.Opened
-        {
-          version = Atomic.get t.published;
-          readers = Array.length t.reader_qs;
-          instances = List.length (Db.instance_ids db);
-        }
-    in
-    send_resp t j_conn j_env resp ~verb:"open" ~start_ns:j_start_ns
   | req ->
     send_resp t j_conn j_env
       (Proto.Error
@@ -236,19 +214,6 @@ let writer_serve t db { j_conn; j_env; j_req; j_start_ns } =
       ~verb:(Proto.verb_name req) ~start_ns:j_start_ns
 
 let writer_loop t db =
-  (* Chain the delta broadcast after whatever durability hook (the WAL)
-     is already installed; runs on this domain, during commit, so the
-     broadcast always precedes the client's Committed response — which
-     is what makes a subsequent min_version read safe to route. *)
-  let prior = Db.commit_hook db in
-  Db.set_commit_hook db
-    (Some
-       (fun delta ->
-         (match prior with Some f -> f delta | None -> ());
-         let v = Atomic.get t.published + 1 in
-         let encoded = Codec.encode_delta delta in
-         Array.iter (fun q -> push q (Apply (v, encoded))) t.reader_qs;
-         Atomic.set t.published v));
   let rec loop () =
     match pop t.writer_q with
     | Quit -> ()
@@ -256,28 +221,18 @@ let writer_loop t db =
     | Serve job ->
       writer_serve t db job;
       loop ()
-    | Feed f ->
-      (* Replicated records bypass the commit hook by construction
-         ([replay_delta] never re-logs), so the reader broadcast that
-         normally rides the hook happens explicitly here. *)
-      let result =
-        try
-          Db.replay_delta db (Codec.decode_delta f.f_record);
-          Engine.propagate (Db.engine db);
-          let v = Atomic.get t.published + 1 in
-          Array.iter (fun q -> push q (Apply (v, f.f_record))) t.reader_qs;
-          Atomic.set t.published v;
-          Counters.incr t.ctrs "server.repl_applied";
-          Ok v
-        with e -> Error e
-      in
-      Mutex.lock f.f_mu;
-      f.f_state <- Some result;
-      Condition.signal f.f_cond;
-      Mutex.unlock f.f_mu;
-      loop ()
   in
   loop ()
+
+(* The reader broadcast: a subscriber on the master's records, so it
+   runs on whichever domain moves the master — the writer domain during
+   commit (strictly before the client's Committed response, which is
+   what makes a subsequent min_version read safe to route), or a
+   follower's domain replaying a shipped record. *)
+let broadcast t record =
+  let v = Atomic.get t.published + 1 in
+  Array.iter (fun q -> push q (Apply (v, record))) t.reader_qs;
+  Atomic.set t.published v
 
 (* ---- Reader domains ---- *)
 
@@ -314,6 +269,13 @@ let reader_serve t replica ~applied { j_conn; j_env; j_req; j_start_ns } =
       | Proto.Traverse { root; rel; attr; depth; _ } ->
         let visited, total = traverse replica ~root ~rel ~attr ~depth in
         Proto.Traversed { version = applied; visited; total }
+      | Proto.Open_session ->
+        Proto.Opened
+          {
+            version = applied;
+            readers = Array.length t.reader_qs;
+            instances = List.length (Db.instance_ids replica);
+          }
       | req ->
         Proto.Error
           { code = Proto.E_server; message = "reader cannot serve " ^ Proto.verb_name req }
@@ -345,8 +307,8 @@ let reader_loop t master_snapshot make_schema =
   let rec loop q =
     match pop q with
     | Quit -> ()
-    | Apply (v, delta) ->
-      Db.replay_delta replica (Codec.decode_delta delta);
+    | Apply (v, record) ->
+      Db.replay_record replica record;
       Engine.propagate (Db.engine replica);
       applied := v;
       flush_deferred q;
@@ -355,7 +317,6 @@ let reader_loop t master_snapshot make_schema =
       if job_min_version job <= !applied then reader_serve t replica ~applied:!applied job
       else deferred := job :: !deferred;
       loop q
-    | Feed _ -> loop q  (* writer-queue only *)
   in
   loop
 
@@ -447,7 +408,8 @@ let dispatch t conn payload =
         (Proto.Error
            { code = Proto.E_protocol; message = "read-only replica: commits go to the writer" })
         ~verb:"commit" ~start_ns
-    | Proto.Open_session | Proto.Commit _ -> push t.writer_q (Serve job)
+    | Proto.Commit _ -> push t.writer_q (Serve job)
+    | Proto.Open_session -> push t.reader_qs.(0) (Serve job)
     | Proto.Read { min_version; instance; _ } ->
       check_version min_version (fun () ->
           push t.reader_qs.(route t instance) (Serve job))
@@ -673,8 +635,10 @@ let start ?(config = config ()) ~make_schema db =
       names_mu = Mutex.create ();
       domain_names = [];
       domains = [];
+      unsubscribe = ignore;
     }
   in
+  t.unsubscribe <- Db.subscribe db (broadcast t);
   (match config.cfg_watchdog with
   | None -> ()
   | Some wd_cfg ->
@@ -702,29 +666,17 @@ let start ?(config = config ()) ~make_schema db =
                    reader_loop t master_snapshot make_schema q)))
          t.reader_qs)
   in
-  let writer_domain =
-    Domain.spawn (fun () -> run_domain t "writer" (fun () -> writer_loop t db))
+  (* A read-only replica's master belongs to whoever feeds it records
+     (a follower): no writer domain touches it here. *)
+  let writer_domains =
+    if config.cfg_read_only then []
+    else [ Domain.spawn (fun () -> run_domain t "writer" (fun () -> writer_loop t db)) ]
   in
   let frontend_domain =
     Domain.spawn (fun () -> run_domain t "frontend" (fun () -> frontend_loop t))
   in
-  t.domains <- (frontend_domain :: writer_domain :: reader_domains);
+  t.domains <- (frontend_domain :: writer_domains) @ reader_domains;
   t
-
-let inject t record =
-  let f =
-    { f_record = record; f_mu = Mutex.create (); f_cond = Condition.create (); f_state = None }
-  in
-  push t.writer_q (Feed f);
-  Mutex.lock f.f_mu;
-  while f.f_state = None do
-    Condition.wait f.f_cond f.f_mu
-  done;
-  Mutex.unlock f.f_mu;
-  match f.f_state with
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-  | None -> assert false
 
 let dump_flight t ~reason = flight_dump t reason
 
@@ -733,6 +685,7 @@ let stop t =
     push t.writer_q Quit;
     Array.iter (fun q -> push q Quit) t.reader_qs;
     List.iter Domain.join t.domains;
+    t.unsubscribe ();
     (try Unix.close t.listen_fd with _ -> ());
     match t.metrics_fd with
     | Some fd -> ( try Unix.close fd with _ -> ())

@@ -6,16 +6,17 @@
     shared-database half on one machine:
 
     - {b one writer domain} owns the master {!Cactis.Db} and applies
-      every [Commit] through it (and through whatever durability hook —
-      the WAL — was attached before {!start});
+      every [Commit] through it (and so through every record subscriber
+      — the WAL, when {!Cactis.Persist} is attached);
     - {b N reader domains} each hold an immutable-between-versions
       {e replica}, built from a binary snapshot of the master against a
       fresh schema, and serve [Read]/[Traverse] without ever touching
       the writer's structures.  Readers never block the writer and the
       writer never blocks readers;
-    - {b snapshot handoff}: after each commit the writer broadcasts the
-      encoded delta (the same bytes the WAL stores) to every reader's
-      mailbox, tagged with a monotonically increasing {e version}.
+    - {b snapshot handoff}: the server subscribes to the master's
+      records ({!Cactis.Db.subscribe}) and broadcasts each — the same
+      bytes the WAL stores, encoded once — to every reader's mailbox,
+      tagged with a monotonically increasing {e version}.
       Readers apply deltas in order; a request's [min_version] names the
       snapshot it is content with (read-your-writes when it names the
       client's own last commit);
@@ -56,8 +57,11 @@ type config
     [flight_dir] is where crash/watchdog flight dumps are written;
     without it dumps are skipped (stderr still reports the crash).
     [read_only] makes this a replica front end: client [Commit]s are
-    refused with a typed protocol error ("read-only replica"); state
-    changes arrive only through {!inject}. *)
+    refused with a typed protocol error ("read-only replica") and no
+    writer domain runs; state changes arrive as records replayed into
+    the master ({!Cactis.Db.replay_record}) by whoever owns it — a
+    {!Cactis_repl.Follower} — and reach the readers through the same
+    subscription as commits. *)
 val config :
   ?port:int ->
   ?readers:int ->
@@ -79,9 +83,9 @@ type t
     schema equivalent to [db]'s (schemas are mutable and cannot be
     shared across domains; each replica loads the snapshot against its
     own).  After [start] the caller must not touch [db] again — it
-    belongs to the writer domain.  Attach {!Cactis.Persist} {e before}
-    starting; the server chains its delta broadcast after the existing
-    commit hook. *)
+    belongs to the writer domain (in [read_only] mode, to the one
+    domain that replays records into it).  Subscribers attached before
+    [start] (the WAL) see each record before the reader broadcast. *)
 val start : ?config:config -> make_schema:(unit -> Cactis.Schema.t) -> Cactis.Db.t -> t
 
 (** The bound TCP port (useful with [port = 0]). *)
@@ -94,15 +98,6 @@ val readers : t -> int
 
 (** Highest committed (and broadcast) version. *)
 val published_version : t -> int
-
-(** [inject t record] — apply an encoded delta (the WAL / wire record
-    format) through the writer domain, exactly as a replicated record:
-    replayed unlogged into the master, broadcast to every reader, and
-    assigned the next published version (returned).  Blocks the caller
-    until the writer has applied it; a replay failure re-raises here.
-    This is how a read-only replica server stays fed by a
-    {!Cactis_repl.Follower}. *)
-val inject : t -> string -> int
 
 (** Server-side request/connection counters (names under [server.]). *)
 val counters : t -> Cactis_util.Counters.t
@@ -125,6 +120,7 @@ val watchdog : t -> Cactis_obs.Watchdog.t option
     write failed).  The CLI wires SIGQUIT/SIGUSR2 to this. *)
 val dump_flight : t -> reason:string -> string option
 
-(** Stop accepting, drain the domains, close every socket.
-    Idempotent. *)
+(** Stop accepting, drain the domains, drop the record subscription,
+    close every socket.  Stop whatever replays records into a
+    [read_only] server's database first.  Idempotent. *)
 val stop : t -> unit

@@ -10,6 +10,7 @@
 
 module Db = Cactis.Db
 module Snapshot = Cactis.Snapshot
+module Clock = Cactis_obs.Clock
 module Counters = Cactis_util.Counters
 module Histogram = Cactis_obs.Histogram
 module Frame = Cactis_net.Frame
@@ -40,7 +41,6 @@ type t = {
   host : string;
   tport : int;
   make_schema : unit -> Cactis.Schema.t;
-  mutable apply_override : (string -> unit) option;
   mutable db : Db.t option;
   mutable replica : Replica.t option;
   mutable fd : Unix.file_descr option;
@@ -48,7 +48,7 @@ type t = {
   mutable st : status;
   mutable head : int;  (* writer's announced head seq *)
   mutable batches : int;  (* over this connection *)
-  mutable conn_started : float;
+  mutable conn_started : int64;  (* Clock.now_ns *)
   mutable caught_up : bool;  (* catch-up time recorded for this connection *)
   (* Snapshot assembly state while a bootstrap is in flight. *)
   mutable snap : (int * int * Buffer.t) option;  (* generation, size, data *)
@@ -61,7 +61,6 @@ let create ?(config = config ()) ~make_schema ~host ~port () =
     host;
     tport = port;
     make_schema;
-    apply_override = None;
     db = None;
     replica = None;
     fd = None;
@@ -69,7 +68,7 @@ let create ?(config = config ()) ~make_schema ~host ~port () =
     st = Idle;
     head = -1;
     batches = 0;
-    conn_started = 0.0;
+    conn_started = 0L;
     caught_up = false;
     snap = None;
     stop_flag = Atomic.make false;
@@ -81,7 +80,6 @@ let cursor t = match t.replica with Some r -> Replica.cursor r | None -> P.curso
 let applied_seq t = match t.replica with Some r -> Replica.seq r | None -> -1
 let head_seq t = t.head
 let synced t = t.db <> None && applied_seq t >= t.head
-let set_apply t f = t.apply_override <- f
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
@@ -124,7 +122,7 @@ let connect t =
      raise (Repl_error.Transport (Unix.error_message e)));
   t.fd <- Some fd;
   t.dec <- Frame.decoder ();
-  t.conn_started <- Unix.gettimeofday ();
+  t.conn_started <- Clock.now_ns ();
   t.batches <- 0;
   t.caught_up <- false;
   t.snap <- None;
@@ -138,20 +136,9 @@ let send_ack t fd ~lag_us =
     Frame.send fd (P.encode_client (P.Ack { seq = applied_seq t; cursor = cursor t; lag_us }))
   with Unix.Unix_error (e, _, _) -> raise (Repl_error.Transport (Unix.error_message e))
 
-(* The replica's apply closure indirects through [apply_override] so
-   {!set_apply} takes effect without rebuilding the replica (and with
-   it, losing the cursor). *)
-let make_replica t ~cursor db =
-  Replica.create
-    ~apply:(fun record ->
-      match t.apply_override with
-      | Some f -> f record
-      | None -> Replica.default_apply db record)
-    ~cursor db
-
 let install_db t ~cursor db =
   t.db <- Some db;
-  t.replica <- Some (make_replica t ~cursor db)
+  t.replica <- Some (Replica.create ~cursor db)
 
 let replica_exn t =
   match t.replica with
@@ -161,7 +148,7 @@ let replica_exn t =
 let note_caught_up t =
   if (not t.caught_up) && t.head >= 0 && applied_seq t >= t.head then begin
     t.caught_up <- true;
-    observe t "repl.catchup" (Unix.gettimeofday () -. t.conn_started)
+    observe t "repl.catchup" (Clock.elapsed_s ~since:t.conn_started)
   end
 
 let handle_msg t fd msg =
@@ -170,12 +157,14 @@ let handle_msg t fd msg =
     c_incr t "repl.refused";
     raise (Repl_error.Refused { code; message })
   | P.Snap_begin { generation; size; _ } ->
-    if t.apply_override <> None then
+    (* A database somebody subscribes to (a server serving it) cannot
+       be swapped for a freshly loaded one under its subscribers. *)
+    if Option.fold ~none:false ~some:Db.subscribed t.db then
       raise
         (Repl_error.Refused
            {
              code = Repl_error.code_protocol;
-             message = "writer demands re-bootstrap but the replica database is externally owned";
+             message = "writer demands re-bootstrap but the replica database is being served";
            });
     t.snap <- Some (generation, size, Buffer.create (max 1024 size))
   | P.Snap_chunk { last; data } -> (
@@ -215,11 +204,11 @@ let handle_msg t fd msg =
     let applied = ref 0 in
     List.iter
       (fun e ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Clock.now_ns () in
         match Replica.apply_entry r e with
         | Replica.Applied ->
           incr applied;
-          observe t "repl.apply" (Unix.gettimeofday () -. t0)
+          observe t "repl.apply" (Clock.elapsed_s ~since:t0)
         | Replica.Skipped -> ())
       entries;
     t.batches <- t.batches + 1;
@@ -232,11 +221,7 @@ let handle_msg t fd msg =
     observe t "repl.lag_s" (float_of_int lag_us /. 1e6);
     note_caught_up t;
     send_ack t fd ~lag_us;
-    if
-      t.cfg.f_check_every > 0
-      && t.apply_override = None
-      && t.batches mod t.cfg.f_check_every = 0
-    then begin
+    if t.cfg.f_check_every > 0 && t.batches mod t.cfg.f_check_every = 0 then begin
       c_incr t "repl.integrity_checks";
       Replica.drift_check r
     end
@@ -259,13 +244,14 @@ let handle_msg t fd msg =
    catches a live connection whose announced frame never completes
    (e.g. a corrupted length header inflating the expected size). *)
 let recv_msg t fd =
-  let deadline = Unix.gettimeofday () +. (3.0 *. t.cfg.f_heartbeat_timeout_s) in
+  let start_ns = Clock.now_ns () in
+  let assembly_s = 3.0 *. t.cfg.f_heartbeat_timeout_s in
   let buf = Bytes.create 65536 in
   let rec go () =
     match Frame.next t.dec with
     | Some frame -> P.decode_server frame
     | None ->
-      if Frame.buffered t.dec > 0 && Unix.gettimeofday () > deadline then
+      if Frame.buffered t.dec > 0 && Clock.elapsed_s ~since:start_ns > assembly_s then
         raise (Repl_error.Transport "frame assembly timed out");
       (match Unix.read fd buf 0 (Bytes.length buf) with
       | 0 ->

@@ -21,14 +21,22 @@
     from another domain).  Metrics ([repl.batches], [repl.bootstraps],
     [repl.reconnects], lag histograms...) are recorded against the
     replica database's own counters, so a server wrapped around the
-    replica exposes them over [/metrics] like any other [db.*] series. *)
+    replica exposes them over [/metrics] like any other [db.*] series.
+
+    Serving the replica ([cactis serve --follow]): start a
+    {!Cactis_net.Server} over the database {!sync} returned, then {!run}
+    on a domain of its own.  That domain stays the only one touching
+    the database: each record applies through {!Replica}'s ordinary
+    path, and the server's record subscription forwards it to the
+    reader domains.  While anything subscribes to the database, a
+    writer demanding a re-bootstrap is a fatal typed refusal — a served
+    database cannot be swapped for a freshly loaded one. *)
 
 type config
 
 (** [config ()] — 5 s heartbeat timeout (reads idle longer reconnect),
     backoff 0.1 s doubling to 5 s, {!Cactis.Integrity} drift check every
-    8 batches ([check_every = 0] disables — required when the database
-    is concurrently served), unlimited reconnect attempts
+    8 batches ([check_every = 0] disables), unlimited reconnect attempts
     ([max_attempts = 0]). *)
 val config :
   ?heartbeat_timeout_s:float ->
@@ -60,14 +68,6 @@ val create :
     @raise Repl_error.Refused when the writer rejects the session
     @raise Repl_error.Transport when the writer cannot be reached *)
 val sync : t -> Cactis.Db.t
-
-(** [set_apply t f] — route every subsequent record through [f] instead
-    of applying directly (the read-only server mode routes records
-    through the server's writer domain).  While an override is active a
-    mid-run re-bootstrap demand from the writer is a fatal error — the
-    database is externally owned and cannot be swapped out — and drift
-    checks are skipped regardless of [check_every]. *)
-val set_apply : t -> (string -> unit) option -> unit
 
 (** Stream until {!stop} or a fatal error ([~until_synced:true]: return
     as soon as the replica has caught up with the writer's shipped

@@ -1,20 +1,17 @@
 (* Writer-side shipping loop.  One domain, one select loop, over the
-   listen socket, a self-pipe (the commit hook's doorbell) and every
-   follower socket.  See the interface for the protocol overview.
+   listen socket, a self-pipe (the log-tail listener's doorbell) and
+   every follower socket.  See the interface for the protocol overview.
 
    Cursor chain invariant: the publisher assigns [prev] from its own
-   [chain] cursor as it drains the commit queue, so the stream is a
-   single totally-ordered chain no matter how commits interleave with
-   checkpoints.  A record whose post-append cursor jumped to a new
-   generation with records >= 1 means a checkpoint slipped in between
-   two commits without a quiet moment for the idle mark; a synthetic
-   Mark is inserted in front of it so every first-record-of-a-
-   generation chains from [(gen, 0)] — which is exactly where a
+   [chain] cursor as it drains the log tail, so the stream is a single
+   totally-ordered chain.  Persist hands over records and checkpoint
+   marks in log order, so every first record of a generation follows
+   that generation's mark and chains from [(gen, 0)] — exactly where a
    follower lands after loading the generation's snapshot. *)
 
 module Persist = Cactis.Persist
 module Db = Cactis.Db
-module Codec = Cactis.Codec
+module Clock = Cactis_obs.Clock
 module Counters = Cactis_util.Counters
 module Histogram = Cactis_obs.Histogram
 module Wal = Cactis_storage.Wal
@@ -49,11 +46,6 @@ let item_after = function
   | I_rec { i_cursor; _ } -> i_cursor
   | I_mark { i_gen; _ } -> { P.gen = i_gen; records = 0 }
 
-(* What the commit hook pushes: the record plus the WAL cursor read
-   right after the durable append.  [prev] is assigned later, by the
-   publisher domain, from its chain. *)
-type pending = { p_cursor : P.cursor; p_record : string }
-
 type conn = {
   c_fd : Unix.file_descr;
   c_dec : Frame.decoder;
@@ -69,12 +61,11 @@ type t = {
   persist : Persist.t;
   counters : Counters.t;
   hists : Histogram.t;
-  (* hook -> publisher handoff; [qmu] also covers the idle-mark guard so
-     a Mark can never be emitted while a just-appended record is still
-     in flight between the WAL and the queue. *)
+  (* log tail -> publisher handoff *)
   qmu : Mutex.t;
-  queue : pending Queue.t;
-  mutable hook_live : bool;  (* under qmu *)
+  queue : Persist.tail Queue.t;
+  mutable live : bool;  (* under qmu: false once stopping, so no doorbell rings a closed pipe *)
+  mutable unlisten : unit -> unit;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   listen_fd : Unix.file_descr;
@@ -85,7 +76,7 @@ type t = {
   mutable next_seq : int;
   mutable chain : P.cursor;  (* cursor after the last appended item *)
   mutable conns : conn list;
-  mutable last_hb : float;
+  mutable last_hb : int64;  (* Clock.now_ns *)
   stop_flag : bool Atomic.t;
   g_followers : int Atomic.t;
   g_head_seq : int Atomic.t;
@@ -138,7 +129,7 @@ let blog_drop_below t seq =
 let send_timed fd ~timeout_s payload =
   let s = Frame.encode payload in
   let len = String.length s in
-  let deadline = Unix.gettimeofday () +. timeout_s in
+  let start_ns = Clock.now_ns () in
   let off = ref 0 in
   (try
      while !off < len do
@@ -146,11 +137,11 @@ let send_timed fd ~timeout_s payload =
        | n -> off := !off + n
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-         let remaining = deadline -. Unix.gettimeofday () in
+         let remaining = timeout_s -. Clock.elapsed_s ~since:start_ns in
          if remaining <= 0.0 then raise (Repl_error.Transport "send deadline exceeded");
          (try ignore (Unix.select [] [fd] [] remaining)
           with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-         if Unix.gettimeofday () >= deadline then
+         if Clock.elapsed_s ~since:start_ns >= timeout_s then
            raise (Repl_error.Transport "send deadline exceeded")
      done
    with Unix.Unix_error (e, _, _) ->
@@ -168,32 +159,22 @@ let append_item t item =
   | I_rec _ -> ()
 
 let drain_queue t =
+  let drained = Queue.create () in
   Mutex.lock t.qmu;
-  let drained = Queue.fold (fun acc p -> p :: acc) [] t.queue in
-  Queue.clear t.queue;
-  (* Idle mark: a checkpoint ran and the WAL is empty again, so the
-     chain state IS the new generation's snapshot.  Guarded by the same
-     mutex as the hook so no record can be between WAL and queue. *)
-  let idle_mark =
-    drained = []
-    && Persist.generation t.persist > t.chain.P.gen
-    && Persist.wal_records t.persist = 0
-  in
-  let gen_now = Persist.generation t.persist in
+  Queue.transfer t.queue drained;
   Mutex.unlock t.qmu;
-  let before = t.next_seq in
-  if idle_mark then append_item t (I_mark { i_prev = t.chain; i_gen = gen_now });
-  List.iter
-    (fun p ->
-      (* First record of a fresh generation (records >= 1): a checkpoint
-         landed between commits with no idle moment; chain through the
-         generation boundary explicitly so bootstrapping followers (who
-         start at [(gen, 0)]) can join the chain. *)
-      if p.p_cursor.P.gen > t.chain.P.gen && p.p_cursor.P.records >= 1 then
-        append_item t (I_mark { i_prev = t.chain; i_gen = p.p_cursor.P.gen });
-      append_item t (I_rec { i_prev = t.chain; i_cursor = p.p_cursor; i_record = p.p_record }))
-    (List.rev drained);
-  t.next_seq > before
+  Queue.iter
+    (function
+      | Persist.Record { generation; position; record } ->
+        append_item t
+          (I_rec
+             {
+               i_prev = t.chain;
+               i_cursor = { P.gen = generation; records = position };
+               i_record = record;
+             })
+      | Persist.Mark generation -> append_item t (I_mark { i_prev = t.chain; i_gen = generation }))
+    drained
 
 (* ------------------------------------------------------------------ *)
 (* Follower bookkeeping                                                *)
@@ -448,16 +429,15 @@ let run_loop t =
       try ignore (Unix.read t.wake_r b 0 256) with Unix.Unix_error _ -> ()
     end;
     if not (Atomic.get t.stop_flag) then begin
-      ignore (drain_queue t);
+      drain_queue t;
       if List.memq t.listen_fd readable then accept_conns t;
       List.iter
         (fun c -> if c.c_alive && List.memq c.c_fd readable then service_conn t c)
         t.conns;
       stream_new t;
       prune t;
-      let now = Unix.gettimeofday () in
-      if now -. t.last_hb >= t.cfg.cfg_heartbeat_s then begin
-        t.last_hb <- now;
+      if Clock.elapsed_s ~since:t.last_hb >= t.cfg.cfg_heartbeat_s then begin
+        t.last_hb <- Clock.now_ns ();
         heartbeat t
       end
     end
@@ -514,7 +494,8 @@ let start ?(config = config ()) persist =
       hists = (Db.obs db).Cactis_obs.Ctx.hists;
       qmu = Mutex.create ();
       queue = Queue.create ();
-      hook_live = true;
+      live = true;
+      unlisten = ignore;
       wake_r;
       wake_w;
       listen_fd;
@@ -524,7 +505,7 @@ let start ?(config = config ()) persist =
       next_seq = 0;
       chain = P.cursor_zero;
       conns = [];
-      last_hb = Unix.gettimeofday ();
+      last_hb = Clock.now_ns ();
       stop_flag = Atomic.make false;
       g_followers = Atomic.make 0;
       g_head_seq = Atomic.make (-1);
@@ -537,33 +518,23 @@ let start ?(config = config ()) persist =
     try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
     with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   in
-  let prior = Db.commit_hook db in
-  Db.set_commit_hook db
-    (Some
-       (fun delta ->
-         (* The WAL append (prior hook) and the queue push happen under
-            one lock so the drain-side mark guard can trust "queue empty
-            => every durable record is in the chain". *)
-         Mutex.lock t.qmu;
-         Fun.protect
-           ~finally:(fun () -> Mutex.unlock t.qmu)
-           (fun () ->
-             (match prior with Some f -> f delta | None -> ());
-             if t.hook_live then begin
-               let c =
-                 { P.gen = Persist.generation persist; records = Persist.wal_records persist }
-               in
-               Queue.add { p_cursor = c; p_record = Codec.encode_delta delta } t.queue;
-               wake ()
-             end)));
+  t.unlisten <-
+    Persist.listen persist (fun item ->
+        Mutex.lock t.qmu;
+        if t.live then begin
+          Queue.add item t.queue;
+          wake ()
+        end;
+        Mutex.unlock t.qmu);
   t.domain <- Some (Domain.spawn (fun () -> run_loop t));
   t
 
 let stop t =
   if not (Atomic.exchange t.stop_flag true) then begin
     Mutex.lock t.qmu;
-    t.hook_live <- false;
+    t.live <- false;
     Mutex.unlock t.qmu;
+    t.unlisten ();
     (try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
      with Unix.Unix_error _ -> ());
     (match t.domain with Some d -> Domain.join d | None -> ());

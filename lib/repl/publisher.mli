@@ -1,13 +1,13 @@
 (** Writer-side log shipping: stream the WAL to follower replicas.
 
     One domain owns a TCP listener plus every follower connection.  A
-    commit hook (chained after the {!Cactis.Persist} WAL hook, so a
-    record is shipped only once it is durable) captures each encoded
-    delta together with its post-append cursor and queues it; the
-    publisher domain drains the queue — {e group commit on the wire}:
-    everything drained in one wake leaves as one [Batch] frame — into
-    an in-memory backlog it serves resumes from, and pushes new items
-    to every live follower.
+    {!Cactis.Persist.listen}er queues the ordered log tail — each record
+    with its post-append cursor, once it is in the WAL, and a mark for
+    each checkpoint, in log order; the publisher domain drains the
+    queue — {e group commit on the wire}: everything drained in one
+    wake leaves as one [Batch] frame — into an in-memory backlog it
+    serves resumes from, and pushes new items to every live follower.
+    It ships the bytes the WAL stores; it never encodes a delta.
 
     Bootstrap is snapshot + log catch-up: a follower whose cursor the
     backlog no longer covers is sent the on-disk checkpoint file
@@ -44,11 +44,10 @@ val config :
 
 type t
 
-(** [start ?config persist] — install the shipping hook (chained after
-    the WAL hook already installed by [persist]) and begin accepting
-    followers.  Call before {!Cactis_net.Server.start} if the same
-    database also serves clients, so the server's broadcast chains
-    after the shipping hook. *)
+(** [start ?config persist] — seed the backlog from [persist]'s log,
+    listen to its tail and begin accepting followers.  Call it from the
+    domain that commits to [persist]'s database, or before that domain
+    starts. *)
 val start : ?config:config -> Cactis.Persist.t -> t
 
 (** The bound TCP port (useful with [port = 0]). *)
@@ -60,6 +59,6 @@ val followers : t -> int
 (** Sequence number of the last streamed item ([-1] before any). *)
 val head_seq : t -> int
 
-(** Stop accepting, drop every follower, join the domain.  The
-    shipping hook stays chained but becomes a no-op.  Idempotent. *)
+(** Stop listening to the log tail, stop accepting, drop every
+    follower, join the domain.  Idempotent. *)
 val stop : t -> unit

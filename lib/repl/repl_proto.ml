@@ -113,7 +113,8 @@ let encode_server_body m =
     Codec.write_uint b generation
   | Heartbeat { head_seq; cursor; sent_us } ->
     Buffer.add_char b (Char.chr tag_heartbeat);
-    Codec.write_uint b head_seq;
+    (* head_seq -1: a writer that has shipped nothing yet. *)
+    Codec.write_uint b (head_seq + 1);
     write_cursor b cursor;
     Codec.write_uint b sent_us);
   Buffer.contents b
@@ -225,7 +226,7 @@ let decode_server s =
           Mark { seq; prev; generation }
         end
         else if tag = tag_heartbeat then begin
-          let head_seq = Codec.read_uint r in
+          let head_seq = Codec.read_uint r - 1 in
           let cursor = read_cursor r in
           let sent_us = Codec.read_uint r in
           Heartbeat { head_seq; cursor; sent_us }

@@ -67,7 +67,8 @@ type server_msg =
           checkpoint [generation] — advance to [(generation, 0)]
           without applying anything. *)
   | Heartbeat of { head_seq : int; cursor : cursor; sent_us : int }
-      (** Liveness + lag: the writer's stream head and cursor. *)
+      (** Liveness + lag: the writer's stream head ([-1] before it has
+          shipped anything) and cursor. *)
 
 val encode_client : client_msg -> string
 val encode_server : server_msg -> string

@@ -8,24 +8,18 @@ module P = Repl_proto
 
 type t = {
   db : Db.t;
-  apply : string -> unit;
   mutable cursor : P.cursor;
   mutable seq : int;
   mutable records_applied : int;
 }
 
-let default_apply db record =
-  let delta =
-    try Codec.decode_delta record
-    with Codec.Error { offset; message } ->
-      raise (P.Corrupt { context = "record"; message = Printf.sprintf "at byte %d: %s" offset message })
-  in
-  Db.replay_delta db delta;
-  Engine.propagate (Db.engine db)
+let create ~cursor db = { db; cursor; seq = -1; records_applied = 0 }
 
-let create ?apply ~cursor db =
-  let apply = match apply with Some f -> f | None -> default_apply db in
-  { db; apply; cursor; seq = -1; records_applied = 0 }
+let replay t record =
+  (try Db.replay_record t.db record
+   with Codec.Error { offset; message } ->
+     raise (P.Corrupt { context = "record"; message = Printf.sprintf "at byte %d: %s" offset message }));
+  Engine.propagate (Db.engine t.db)
 
 let db t = t.db
 let cursor t = t.cursor
@@ -45,7 +39,7 @@ let apply_entry t (e : P.entry) =
   else if P.cursor_compare e.P.e_prev t.cursor <> 0 then
     raise (Repl_error.Gap { expected = t.cursor; got = e.P.e_prev; seq = e.P.e_seq })
   else begin
-    t.apply e.P.e_record;
+    replay t e.P.e_record;
     t.cursor <- e.P.e_cursor;
     t.seq <- e.P.e_seq;
     t.records_applied <- t.records_applied + 1;

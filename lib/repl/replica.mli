@@ -22,19 +22,12 @@
 
 type t
 
-(** [create ?apply ~cursor db] — a replica positioned at [cursor].
-    [apply] overrides how an encoded delta is applied (default: decode,
-    {!Cactis.Db.replay_delta} into [db], propagate) — the read-only
-    server mode routes it through the server's writer domain instead. *)
-val create : ?apply:(string -> unit) -> cursor:Repl_proto.cursor -> Cactis.Db.t -> t
-
-(** The default record application: decode the delta,
-    {!Cactis.Db.replay_delta} it into [db], propagate.  Exposed so a
-    caller composing its own [apply] (e.g. {!Follower} switching between
-    direct replay and routing through a server's writer domain) can fall
-    back to it.
-    @raise Repl_error.Corrupt if the record bytes do not decode. *)
-val default_apply : Cactis.Db.t -> string -> unit
+(** [create ~cursor db] — a replica positioned at [cursor].  Records
+    apply through {!Cactis.Db.replay_record} followed by one
+    propagation, so [db]'s subscribers see every applied record: a
+    server serving [db] (the read-only [serve --follow] mode) forwards
+    it to its reader domains from inside that call. *)
+val create : cursor:Repl_proto.cursor -> Cactis.Db.t -> t
 
 val db : t -> Cactis.Db.t
 val cursor : t -> Repl_proto.cursor

@@ -290,9 +290,25 @@ let test_strategies_agree () =
         ids)
     strategies
 
+(* [sum] over the kinds [add] combines: times total their day counts,
+   strings concatenate, numbers keep their exact old results. *)
+let test_sum_kinds () =
+  let day d = Value.Time (Cactis_util.Vtime.of_days d) in
+  let same what want got = Alcotest.(check bool) what true (Value.equal want got) in
+  same "times" (day 7.5) (Value.sum [ day 3.; day 4.5 ]);
+  same "one time" (day 2.) (Value.sum [ day 2. ]);
+  same "strings" (Value.Str "abc") (Value.sum [ Value.Str "ab"; Value.Str "c" ]);
+  same "empty" (int 0) (Value.sum []);
+  same "ints" (int 6) (Value.sum [ int 1; int 2; int 3 ]);
+  same "mixed numbers" (Value.Float 1.5) (Value.sum [ int 1; Value.Float 0.5 ]);
+  same "negative zero still sums to zero" (Value.Float 0.) (Value.sum [ Value.Float (-0.) ]);
+  Alcotest.(check bool) "sign of that zero" false
+    (Float.sign_bit (Value.as_float (Value.sum [ Value.Float (-0.) ])))
+
 let () =
   Alcotest.run "cactis-core"
     [
+      ("value", [ Alcotest.test_case "sum over times and strings" `Quick test_sum_kinds ]);
       ( "engine",
         [
           Alcotest.test_case "basic derivation" `Quick test_basic_derivation;

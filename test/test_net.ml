@@ -14,6 +14,7 @@ module Server = Cactis_net.Server
 module Client = Cactis_net.Client
 
 let int n = Value.Int n
+let day d = Value.Time (Cactis_util.Vtime.of_days d)
 
 (* ---- Frames ---- *)
 
@@ -216,6 +217,7 @@ let node_schema () =
   Schema.declare_relationship sch ~from_type:"node" ~rel:"deps" ~to_type:"node" ~inverse:"rdeps"
     ~card:Schema.Multi ~inverse_card:Schema.Multi;
   Schema.add_attr sch ~type_name:"node" (Rule.intrinsic "local" (int 1));
+  Schema.add_attr sch ~type_name:"node" (Rule.intrinsic "due" (day 0.));
   Schema.add_attr sch ~type_name:"node"
     (Rule.derived "total"
        (Rule.combine_self_rel "local" "deps" "total" ~f:(fun own totals ->
@@ -573,6 +575,55 @@ let test_wal_chain_survives_restart () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* A traversal over a time attribute (Figure 1's completion dates are
+   times) totals the day counts instead of failing with E_type. *)
+let test_traverse_time_attr () =
+  with_server
+    ~prepare:(fun db ->
+      List.iter (fun id -> Db.set db id "due" (day (float_of_int id))) (Db.instance_ids db))
+    (fun server (a, b, c) ->
+      let cl = Client.connect ~port:(Server.port server) () in
+      Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+      let visited, total, _ = Client.traverse cl ~root:a ~rel:"deps" ~attr:"due" in
+      Alcotest.(check int) "visits the chain" 3 visited;
+      Alcotest.(check bool) "total of the due days" true
+        (Value.equal total (day (float_of_int (a + b + c)))))
+
+(* Closing the WAL drops only its own subscription: the server keeps
+   broadcasting, so versions advance and readers see new commits. *)
+let test_persist_close_keeps_broadcast () =
+  let dir = "net_scratch_close" in
+  if Sys.file_exists dir then
+    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
+  else Sys.mkdir dir 0o755;
+  let p = ref None in
+  with_server
+    ~prepare:(fun db -> p := Some (Persist.attach ~dir db))
+    (fun server (_, _, c) ->
+      let cl = Client.connect ~port:(Server.port server) () in
+      Fun.protect ~finally:(fun () -> Client.close cl) @@ fun () ->
+      let v1, _ = Client.commit cl [ Proto.Set { instance = c; attr = "local"; value = int 10 } ] in
+      Persist.close (Option.get !p);
+      let v2, _ = Client.commit cl [ Proto.Set { instance = c; attr = "local"; value = int 20 } ] in
+      Alcotest.(check bool) "version advances after Persist.close" true (v2 > v1);
+      let v, _ = Client.read cl ~instance:c ~attr:"local" in
+      Alcotest.(check bool) "reader sees the new value" true (Value.equal v (int 20)));
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
+(* A stopped server leaves the database it served: later commits are
+   not broadcast and do not move its published version. *)
+let test_stop_unsubscribes () =
+  let db, _, _, c = chain_db () in
+  let server = Server.start ~config:(Server.config ~readers:1 ()) ~make_schema:node_schema db in
+  let cl = Client.connect ~port:(Server.port server) () in
+  ignore (Client.commit cl [ Proto.Set { instance = c; attr = "local"; value = int 10 } ]);
+  Client.close cl;
+  Server.stop server;
+  let before = Server.published_version server in
+  Db.set db c "local" (int 11);
+  Alcotest.(check int) "published version stays put" before (Server.published_version server)
+
 let () =
   Alcotest.run "cactis-net"
     [
@@ -599,6 +650,10 @@ let () =
           Alcotest.test_case "garbage frame" `Quick test_garbage_frame_gets_protocol_error;
           Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
           Alcotest.test_case "wal chain survives restart" `Quick test_wal_chain_survives_restart;
+          Alcotest.test_case "traverse over a time attribute" `Quick test_traverse_time_attr;
+          Alcotest.test_case "persist close keeps the broadcast" `Quick
+            test_persist_close_keeps_broadcast;
+          Alcotest.test_case "stop drops the broadcast subscription" `Quick test_stop_unsubscribes;
         ] );
       ( "observability",
         [

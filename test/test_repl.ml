@@ -215,6 +215,7 @@ let sample_server_msgs =
     P.Batch { sent_us = 0; entries = [] };
     P.Mark { seq = 17; prev = c 1 42; generation = 2 };
     P.Heartbeat { head_seq = 99; cursor = c 3 5; sent_us = 123_456_789 };
+    P.Heartbeat { head_seq = -1; cursor = c 1 0; sent_us = 0 };  (* nothing shipped yet *)
   ]
 
 let sample_client_msgs =
@@ -302,18 +303,26 @@ let test_persist_cursor () =
 (* ------------------------------------------------------------------ *)
 (* Replica chain rules                                                 *)
 
+(* The records a writer's first [n] single-instance commits produce. *)
+let creation_records n =
+  let db = Db.create (make_schema ()) in
+  let records = ref [] in
+  let _unsubscribe = Db.subscribe db (fun r -> records := r :: !records) in
+  for _ = 1 to n do
+    ignore (Db.create_instance db "k")
+  done;
+  List.rev !records
+
 let test_chain_rules () =
-  let applied = ref [] in
-  let r =
-    Replica.create
-      ~apply:(fun s -> applied := s :: !applied)
-      ~cursor:P.cursor_zero
-      (Db.create (make_schema ()))
+  let r0, r1 =
+    match creation_records 2 with [ r0; r1 ] -> (r0, r1) | _ -> assert false
   in
-  let e0 = { P.e_seq = 0; e_prev = c 0 0; e_cursor = c 0 1; e_record = "r0" } in
+  let r = Replica.create ~cursor:P.cursor_zero (Db.create (make_schema ())) in
+  let instances () = List.length (Db.instance_ids (Replica.db r)) in
+  let e0 = { P.e_seq = 0; e_prev = c 0 0; e_cursor = c 0 1; e_record = r0 } in
   Alcotest.(check bool) "first record applies" true (Replica.apply_entry r e0 = Replica.Applied);
   Alcotest.(check bool) "duplicate skips" true (Replica.apply_entry r e0 = Replica.Skipped);
-  Alcotest.(check (list string)) "applied exactly once" [ "r0" ] !applied;
+  Alcotest.(check int) "applied exactly once" 1 (instances ());
   (match
      Replica.apply_entry r { P.e_seq = 9; e_prev = c 0 5; e_cursor = c 0 6; e_record = "hole" }
    with
@@ -330,12 +339,13 @@ let test_chain_rules () =
   | exception E.Gap _ -> ()
   | _ -> Alcotest.fail "mark off the chain must be a typed Gap");
   Alcotest.(check bool) "stream continues past the mark" true
-    (Replica.apply_entry r { P.e_seq = 4; e_prev = c 1 0; e_cursor = c 1 1; e_record = "r1" }
+    (Replica.apply_entry r { P.e_seq = 4; e_prev = c 1 0; e_cursor = c 1 1; e_record = r1 }
     = Replica.Applied);
+  Alcotest.(check int) "both records in the state" 2 (instances ());
   Alcotest.(check int) "records_applied counts applies only" 2 (Replica.records_applied r);
   Alcotest.(check int) "seq tracks the stream head" 4 (Replica.seq r)
 
-let test_default_apply_corrupt () =
+let test_undecodable_record_corrupt () =
   let r = Replica.create ~cursor:P.cursor_zero (Db.create (make_schema ())) in
   match
     Replica.apply_entry r
@@ -453,14 +463,14 @@ let test_reconnect_resume () =
 
 (* The follower's database served read-only, wired the way the CLI
    wires [serve --follow]: sync first, start the server over the
-   replica database, then stream on a domain of its own. *)
+   replica database, then stream on a domain of its own — the only one
+   touching that database, so drift checks run after every batch. *)
 let serve_follow port =
-  let f = follower ~cfg:(fast_cfg ~check_every:0 ()) port in
+  let f = follower port in
   let db = Follower.sync f in
   let server =
     Server.start ~config:(Server.config ~readers:2 ~read_only:true ()) ~make_schema db
   in
-  Follower.set_apply f (Some (fun record -> ignore (Server.inject server record)));
   let d = Domain.spawn (fun () -> try Follower.run f with _ -> ()) in
   (f, server, d)
 
@@ -497,6 +507,34 @@ let test_follow_server () =
   Server.stop server;
   assert_converged ~msg:"served replica" env.db f;
   stop_env env
+
+(* A served replica cannot be swapped for a fresh snapshot: when a
+   different writer on the same port answers the reconnect with a
+   bootstrap, the follower stops with a typed refusal and the server
+   keeps serving the state it had. *)
+let test_served_follower_refuses_bootstrap () =
+  let env = writer_env () in
+  commit_n env 3;
+  let port = Publisher.port env.pub in
+  let f, server, d = serve_follow port in
+  let cl = Client.connect ~port:(Server.port server) () in
+  let instances () = (Client.open_session cl).Client.instances in
+  wait_for "replica server holds the writer's instances" (fun () -> instances () = 3);
+  stop_env env;
+  let dir = temp_dir () in
+  let db = Db.create (make_schema ()) in
+  ignore (Db.create_instance db "k");
+  let p = Persist.attach ~sync_every:0 ~dir db in
+  let pub = Publisher.start ~config:(Publisher.config ~heartbeat_s:0.25 ~port ()) p in
+  wait_for "follower refused" (fun () ->
+      match Follower.status f with Follower.Failed _ -> true | _ -> false);
+  Domain.join d;
+  Alcotest.(check int) "server still serves the old state" 3 (instances ());
+  Client.close cl;
+  Server.stop server;
+  Publisher.stop pub;
+  Persist.close p;
+  rm_rf dir
 
 (* ------------------------------------------------------------------ *)
 (* Refusals                                                            *)
@@ -807,35 +845,27 @@ let run_prefix_property (cfg, aseed) =
   let dir = temp_dir () in
   let db = Db.create (Cactis_ddl.Elaborate.load_string src) in
   let p = Persist.attach ~sync_every:0 ~dir db in
-  (* Capture the shipped log by chaining after the WAL hook, reading
-     the post-append cursor exactly as the publisher does. *)
+  (* Capture the shipped log from Persist's ordered log tail, chaining
+     each item exactly as the publisher does. *)
   let entries = ref [] in
   let chain = ref P.cursor_zero in
-  let prior = Db.commit_hook db in
-  Db.set_commit_hook db
-    (Some
-       (fun delta ->
-         (match prior with Some h -> h delta | None -> ());
-         let cur = { P.gen = Persist.generation p; records = Persist.wal_records p } in
-         if cur.P.gen > (!chain).P.gen && cur.P.records >= 1 then begin
-           entries := Cap_mark (!chain, cur.P.gen) :: !entries;
-           chain := { P.gen = cur.P.gen; records = 0 }
-         end;
-         entries := Cap_rec (!chain, cur, Codec.encode_delta delta) :: !entries;
-         chain := cur));
+  let _unlisten =
+    Persist.listen p (function
+      | Persist.Record { generation; position; record } ->
+        let cur = { P.gen = generation; records = position } in
+        entries := Cap_rec (!chain, cur, record) :: !entries;
+        chain := cur
+      | Persist.Mark gen ->
+        entries := Cap_mark (!chain, gen) :: !entries;
+        chain := { P.gen = gen; records = 0 })
+  in
   let actions = gen_pacts (Rng.create aseed) cfg 26 in
   let ids = ref [] in
   let points = ref [] in
   List.iter
     (fun act ->
       (match act with
-      | PCheckpoint ->
-        Persist.checkpoint p;
-        let gen = Persist.generation p in
-        if gen > (!chain).P.gen && Persist.wal_records p = 0 then begin
-          entries := Cap_mark (!chain, gen) :: !entries;
-          chain := { P.gen = gen; records = 0 }
-        end
+      | PCheckpoint -> Persist.checkpoint p
       | act -> ignore (exec_pact db ids act));
       points := (List.length !entries, observe db) :: !points)
     actions;
@@ -918,7 +948,7 @@ let () =
       ( "replica",
         [
           Alcotest.test_case "chain rules: apply, skip, gap, mark" `Quick test_chain_rules;
-          Alcotest.test_case "undecodable record is typed Corrupt" `Quick test_default_apply_corrupt;
+          Alcotest.test_case "undecodable record is typed Corrupt" `Quick test_undecodable_record_corrupt;
           Alcotest.test_case "error taxonomy and recoverability" `Quick test_error_taxonomy;
         ] );
       ( "live",
@@ -931,6 +961,8 @@ let () =
             test_reconnect_resume;
           Alcotest.test_case "read-only replica server follows the writer" `Quick
             test_follow_server;
+          Alcotest.test_case "served replica refuses a re-bootstrap" `Quick
+            test_served_follower_refuses_bootstrap;
         ] );
       ( "refusal",
         [
