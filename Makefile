@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-cluster-smoke bench-qps bench-qps-smoke bench-flight bench-flight-smoke bench-analyze bench-analyze-smoke bench-repl bench-repl-smoke stats trace examples clean
+.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-cluster-smoke bench-qps bench-qps-smoke bench-flight bench-flight-smoke bench-analyze bench-analyze-smoke bench-repl bench-repl-smoke perfbench-smoke stats trace examples clean
 
 # Output path for the machine-readable experiment record; override with
 # `make bench-json BENCH_JSON=BENCH_1.json` to regenerate earlier runs.
@@ -128,6 +128,12 @@ bench-repl:
 
 bench-repl-smoke:
 	dune exec bench/main.exe -- --fast E20
+
+# The repository benchmark (BENCHMARK.json, perfbench/SPEC.md) in its
+# self-test mode: every workload twice, briefly, with its correctness
+# checks (~10 s).
+perfbench-smoke:
+	python3 perfbench/run.py --self-test
 
 # Run $(OBS_SCRIPT) and report counters, latency histograms and the last
 # commit's propagation profile (evaluated-at-most-once check included).
