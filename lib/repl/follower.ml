@@ -47,6 +47,7 @@ type t = {
   mutable dec : Frame.decoder;  (* reset on every (re)connect *)
   mutable st : status;
   mutable head : int;  (* writer's announced head seq *)
+  mutable handshake_head : int option;  (* head announced at this connection's handshake *)
   mutable batches : int;  (* over this connection *)
   mutable conn_started : int64;  (* Clock.now_ns *)
   mutable caught_up : bool;  (* catch-up time recorded for this connection *)
@@ -67,6 +68,7 @@ let create ?(config = config ()) ~make_schema ~host ~port () =
     dec = Frame.decoder ();
     st = Idle;
     head = -1;
+    handshake_head = None;
     batches = 0;
     conn_started = 0L;
     caught_up = false;
@@ -125,6 +127,7 @@ let connect t =
   t.conn_started <- Clock.now_ns ();
   t.batches <- 0;
   t.caught_up <- false;
+  t.handshake_head <- None;
   t.snap <- None;
   let schema_version = match t.db with Some db -> Db.schema_step_count db | None -> 0 in
   (try Frame.send fd (P.encode_client (P.Hello { cursor = cursor t; schema_version }))
@@ -235,6 +238,7 @@ let handle_msg t fd msg =
     if t.db = None then install_db t ~cursor:P.cursor_zero (Db.create (t.make_schema ()));
     t.st <- Streaming;
     t.head <- max t.head head_seq;
+    if t.handshake_head = None then t.handshake_head <- Some head_seq;
     observe t "repl.lag_records" (float_of_int (max 0 (t.head - applied_seq t)));
     note_caught_up t;
     send_ack t fd ~lag_us:(max 0 (now_us () - sent_us))
@@ -319,12 +323,21 @@ let run_with t ~until =
     t.st <- Stopped
   end
 
+(* The writer's first heartbeat on a connection follows the handshake
+   (and any snapshot) and carries its head at that moment: sync holds
+   until the replica has applied that far, so a server started over the
+   returned database serves every commit made before it started. *)
+let caught_up_to_handshake t =
+  match t.handshake_head with
+  | Some head -> t.db <> None && applied_seq t >= head
+  | None -> false
+
 let sync t =
   match t.db with
   | Some db -> db
   | None ->
     t.st <- Syncing;
-    run_with t ~until:(fun t -> t.db <> None);
+    run_with t ~until:caught_up_to_handshake;
     (match t.db with
     | Some db -> db
     | None -> raise (Repl_error.Transport "stopped before sync completed"))

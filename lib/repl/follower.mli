@@ -5,7 +5,8 @@
     Lifecycle: {!create} is passive; {!sync} blocks through the
     handshake until the replica database exists (loaded from a shipped
     snapshot, or created fresh when the writer resumes the log from the
-    follower's cursor) and returns it; {!run} then streams batches into
+    follower's cursor) and has applied the head the writer announced at
+    handshake, and returns it; {!run} then streams batches into
     it until {!stop}, a fatal error, or — with [~until_synced:true] —
     the moment the replica has applied everything the writer has
     shipped.
@@ -63,8 +64,10 @@ type status =
 val create :
   ?config:config -> make_schema:(unit -> Cactis.Schema.t) -> host:string -> port:int -> unit -> t
 
-(** Blocking initial sync; returns the replica database.  Idempotent —
-    returns the existing database if already synced.
+(** Blocking initial sync; returns the replica database once it has
+    applied every record the writer had shipped when the handshake
+    completed.  Idempotent — returns the existing database if already
+    synced.
     @raise Repl_error.Refused when the writer rejects the session
     @raise Repl_error.Transport when the writer cannot be reached *)
 val sync : t -> Cactis.Db.t

@@ -465,9 +465,10 @@ let test_reconnect_resume () =
    wires [serve --follow]: sync first, start the server over the
    replica database, then stream on a domain of its own — the only one
    touching that database, so drift checks run after every batch. *)
-let serve_follow port =
+let serve_follow ?(on_sync = ignore) port =
   let f = follower port in
   let db = Follower.sync f in
+  on_sync db;
   let server =
     Server.start ~config:(Server.config ~readers:2 ~read_only:true ()) ~make_schema db
   in
@@ -481,22 +482,27 @@ let test_follow_server () =
       id := Db.create_instance env.db "k";
       Db.set env.db !id "a0" (Value.Int 1));
   let id = !id in
-  let f, server, d = serve_follow (Publisher.port env.pub) in
+  (* Sync returns only after the replica applied the writer's head as of
+     the handshake: the commit made before the start is there before
+     anything streams on. *)
+  let on_sync db =
+    Alcotest.(check (list int)) "synced replica holds the instance" [ id ] (Db.instance_ids db);
+    Alcotest.(check bool) "and its pre-start value" true (Value.equal (Db.get db id "a0") (Value.Int 1))
+  in
+  let f, server, d = serve_follow ~on_sync (Publisher.port env.pub) in
   let cl = Client.connect ~port:(Server.port server) () in
+  let reads_writer i () =
+    match
+      ( Client.read ~min_version:0 cl ~instance:id ~attr:"a0",
+        Client.read ~min_version:0 cl ~instance:id ~attr:"r0" )
+    with
+    | (a0, _), (r0, _) -> Value.equal a0 (Value.Int i) && Value.equal r0 (Value.Int ((i * 2) + 1))
+  in
+  Alcotest.(check bool) "pre-start commit served at start" true (reads_writer 1 ());
   for i = 2 to 6 do
     Db.set env.db id "a0" (Value.Int i);
     if i = 4 then Persist.checkpoint env.p;
-    (* Sync returns as soon as the replica database exists, so the
-       first reads may precede the instance's creation there. *)
-    let reads_writer () =
-      match
-        ( Client.read ~min_version:0 cl ~instance:id ~attr:"a0",
-          Client.read ~min_version:0 cl ~instance:id ~attr:"r0" )
-      with
-      | (a0, _), (r0, _) -> Value.equal a0 (Value.Int i) && Value.equal r0 (Value.Int ((i * 2) + 1))
-      | exception Client.Remote { code = Cactis_net.Proto.E_unknown; _ } -> false
-    in
-    wait_for (Printf.sprintf "follower server reads commit %d" i) reads_writer
+    wait_for (Printf.sprintf "follower server reads commit %d" i) (reads_writer i)
   done;
   (match Client.commit cl [ Cactis_net.Proto.Set { instance = id; attr = "a0"; value = Value.Int 0 } ] with
   | exception Client.Remote { code = Cactis_net.Proto.E_protocol; _ } -> ()
