@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-cluster-smoke bench-qps bench-qps-smoke bench-flight bench-flight-smoke bench-analyze bench-analyze-smoke bench-repl bench-repl-smoke perfbench-smoke stats trace examples clean
+.PHONY: all build check test format-compat lint analyze bench bench-fast bench-json bench-persist bench-cluster bench-cluster-smoke bench-qps bench-qps-smoke bench-flight bench-flight-smoke bench-analyze bench-analyze-smoke bench-repl bench-repl-smoke perfbench-smoke perfbench-ab stats trace examples clean
 
 # Output path for the machine-readable experiment record; override with
 # `make bench-json BENCH_JSON=BENCH_1.json` to regenerate earlier runs.
@@ -134,6 +134,16 @@ bench-repl-smoke:
 # checks (~10 s).
 perfbench-smoke:
 	python3 perfbench/run.py --self-test
+
+# A/B the repository benchmark: revision $(REV) against the working
+# tree, alternating over $(AB_SEEDS) seeds per workload; prints each
+# end-to-end metric's medians, ratio and wins, and diffs the two
+# binaries' exact-count ledgers (scripts/perfbench-ab.sh).
+REV ?= HEAD
+AB_SEEDS ?= 10
+AB_WORKLOADS ?=
+perfbench-ab:
+	N=$(AB_SEEDS) scripts/perfbench-ab.sh $(REV) $(AB_WORKLOADS)
 
 # Run $(OBS_SCRIPT) and report counters, latency histograms and the last
 # commit's propagation profile (evaluated-at-most-once check included).
