@@ -1,6 +1,7 @@
 module Counters = Cactis_util.Counters
 module Decaying_avg = Cactis_util.Decaying_avg
 module Symbol = Cactis_util.Symbol
+module Int_tbl = Cactis_util.Int_tbl
 module Usage = Cactis_storage.Usage
 module Clock = Cactis_obs.Clock
 module Trace = Cactis_obs.Trace
@@ -15,16 +16,16 @@ type strategy =
 type recovery = Store.t -> int -> (int * string * Value.t) list
 
 (* Hot-path tables key on [Symbol.pack instance_id attr_symbol] — a
-   single immediate int — instead of [(int * string)] pairs; attribute
-   and dependency resolution goes through the schema's compiled layouts
-   (slot indexes), so steady-state marking/evaluation never hashes a
-   string. *)
+   single immediate int, hashed by {!Int_tbl} — instead of
+   [(int * string)] pairs; attribute and dependency resolution goes
+   through the schema's compiled layouts (slot indexes), so
+   steady-state marking/evaluation never hashes a string. *)
 type t = {
   store : Store.t;
   mutable strategy : strategy;
   mutable sched : Sched.strategy;
-  watched : (int, unit) Hashtbl.t;  (* packed (id, attr sym) *)
-  pending_important : (int, unit) Hashtbl.t;  (* packed (id, attr sym) *)
+  watched : unit Int_tbl.t;  (* packed (id, attr sym) *)
+  pending_important : unit Int_tbl.t;  (* packed (id, attr sym) *)
   recoveries : (string, recovery) Hashtbl.t;
   mutable repair : (int -> string -> Value.t -> unit) option;
   mutable in_recovery : bool;
@@ -70,8 +71,8 @@ let create ?(strategy = Cactis) ?(sched = Sched.Greedy) store =
     store;
     strategy;
     sched;
-    watched = Hashtbl.create 32;
-    pending_important = Hashtbl.create 32;
+    watched = Int_tbl.create 32;
+    pending_important = Int_tbl.create 32;
     recoveries = Hashtbl.create 8;
     repair = None;
     in_recovery = false;
@@ -128,21 +129,21 @@ let rule_of_si (inst : Instance.t) (si : Schema.slot_info) =
 (* Importance                                                          *)
 
 let important_si t id (si : Schema.slot_info) =
-  si.Schema.si_constrained || Hashtbl.mem t.watched (Symbol.pack id si.Schema.si_sym)
+  si.Schema.si_constrained || Int_tbl.mem t.watched (Symbol.pack id si.Schema.si_sym)
 
 let watch t id a =
-  Hashtbl.replace t.watched (Symbol.pack id (Symbol.intern a)) ();
+  Int_tbl.replace t.watched (Symbol.pack id (Symbol.intern a)) ();
   match Store.get_opt t.store id with
   | Some inst -> (
     match Instance.find_slot inst a with
     | Some ix ->
       if (Instance.slot_ix inst ix).Instance.state = Instance.Out_of_date then
-        Hashtbl.replace t.pending_important (Symbol.pack id (Symbol.intern a)) ()
+        Int_tbl.replace t.pending_important (Symbol.pack id (Symbol.intern a)) ()
     | None -> ())
   | None -> ()
 
-let unwatch t id a = Hashtbl.remove t.watched (Symbol.pack id (Symbol.intern a))
-let is_watched t id a = Hashtbl.mem t.watched (Symbol.pack id (Symbol.intern a))
+let unwatch t id a = Int_tbl.remove t.watched (Symbol.pack id (Symbol.intern a))
+let is_watched t id a = Int_tbl.mem t.watched (Symbol.pack id (Symbol.intern a))
 
 (* ------------------------------------------------------------------ *)
 (* Dependency enumeration                                              *)
@@ -299,7 +300,7 @@ let rec eval_rec t path id ix =
       s.Instance.value <- v;
       s.Instance.state <- Instance.Up_to_date;
       Store.notify_write t.store id si.Schema.si_name v;
-      Hashtbl.remove t.pending_important (Symbol.pack id si.Schema.si_sym);
+      Int_tbl.remove t.pending_important (Symbol.pack id si.Schema.si_sym);
       record_constraint_check t inst si v;
       v
     end
@@ -346,7 +347,7 @@ let run_marks t targets =
             | None -> ());
             Store.notify_mark t.store tgt.t_id (Symbol.name tgt.t_sym);
             if important_si t tgt.t_id (slot_info inst tgt.t_ix) then
-              Hashtbl.replace t.pending_important (Symbol.pack tgt.t_id tgt.t_sym) ();
+              Int_tbl.replace t.pending_important (Symbol.pack tgt.t_id tgt.t_sym) ();
             iter_dependents inst tgt.t_ix schedule));
         loop ()
     in
@@ -372,7 +373,7 @@ type frame = {
   f_ix : int;  (* slot index of the attribute being evaluated *)
   f_sym : int;
   mutable f_pending : int;
-  mutable f_cost : float;  (* block misses charged to this subtree *)
+  mutable f_cost : int;  (* block misses charged to this subtree *)
   f_parent : frame option;
   f_via : (int * int) option;  (* (requesting instance, rel symbol) *)
 }
@@ -429,7 +430,7 @@ let solve_fixpoint t ~max_iters frames waiters =
   (* Resolve every stuck frame to a live slot; a frame whose instance
      vanished mid-run falls back to the cycle-error path. *)
   let entries =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun key (frame : frame) acc ->
         match acc with
         | None -> None
@@ -455,41 +456,41 @@ let solve_fixpoint t ~max_iters frames waiters =
           else String.compare a.e_si.Schema.si_name b.e_si.Schema.si_name)
         entries
     in
-    let by_key = Hashtbl.create (2 * List.length entries) in
-    List.iter (fun e -> Hashtbl.replace by_key e.e_key e) entries;
+    let by_key = Int_tbl.create (2 * List.length entries) in
+    List.iter (fun e -> Int_tbl.replace by_key e.e_key e) entries;
     (* Wait graph among stuck frames (waiter -> waited-on key): the
        frames on its cycles must carry bounded shapes; the acyclic cone
        stuck above them just re-evaluates until its inputs settle. *)
-    let deps : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+    let deps : int list Int_tbl.t = Int_tbl.create 16 in
     let add_dep w k =
-      let prev = match Hashtbl.find_opt deps w with Some l -> l | None -> [] in
-      Hashtbl.replace deps w (k :: prev)
+      let prev = match Int_tbl.find_opt deps w with Some l -> l | None -> [] in
+      Int_tbl.replace deps w (k :: prev)
     in
-    Hashtbl.iter
+    Int_tbl.iter
       (fun key r ->
-        if Hashtbl.mem by_key key then
+        if Int_tbl.mem by_key key then
           List.iter
             (fun (w : frame) ->
               let wkey = Symbol.pack w.f_id w.f_sym in
-              if Hashtbl.mem by_key wkey then add_dep wkey key)
+              if Int_tbl.mem by_key wkey then add_dep wkey key)
             !r)
       waiters;
     let on_cycle key =
-      let seen = Hashtbl.create 8 in
+      let seen = Int_tbl.create 8 in
       let rec go k =
         List.exists
           (fun k' ->
             k' = key
-            || (not (Hashtbl.mem seen k')
+            || (not (Int_tbl.mem seen k')
                &&
-               (Hashtbl.add seen k' ();
+               (Int_tbl.add seen k' ();
                 go k')))
-          (match Hashtbl.find_opt deps k with Some l -> l | None -> [])
+          (match Int_tbl.find_opt deps k with Some l -> l | None -> [])
       in
       go key
     in
-    let cyclic : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    List.iter (fun e -> if on_cycle e.e_key then Hashtbl.add cyclic e.e_key ()) entries;
+    let cyclic : unit Int_tbl.t = Int_tbl.create 16 in
+    List.iter (fun e -> if on_cycle e.e_key then Int_tbl.add cyclic e.e_key ()) entries;
     let shape_of e =
       Schema.rule_shape (schema t) ~type_name:e.e_inst.Instance.type_name
         ~attr:e.e_si.Schema.si_name
@@ -497,19 +498,19 @@ let solve_fixpoint t ~max_iters frames waiters =
     let admissible =
       List.for_all
         (fun e ->
-          (not (Hashtbl.mem cyclic e.e_key))
+          (not (Int_tbl.mem cyclic e.e_key))
           || match shape_of e with Some s -> Schema.shape_bounded s | None -> false)
         entries
     in
     if not admissible then false
     else begin
-      let n_cyclic = Hashtbl.length cyclic in
+      let n_cyclic = Int_tbl.length cyclic in
       (* Static bound: one settling sweep + one per lattice step any
          cycle member can climb + one per stuck frame for the cone. *)
       let static_bound =
         List.fold_left
           (fun acc e ->
-            if Hashtbl.mem cyclic e.e_key then
+            if Int_tbl.mem cyclic e.e_key then
               acc + (match shape_of e with Some s -> fp_height ~n_cyclic s | None -> 0)
             else acc)
           (1 + List.length entries)
@@ -518,7 +519,7 @@ let solve_fixpoint t ~max_iters frames waiters =
       let cap = min max_iters static_bound in
       List.iter
         (fun e ->
-          if Hashtbl.mem cyclic e.e_key then
+          if Int_tbl.mem cyclic e.e_key then
             match shape_of e with
             | Some s -> (
               match fp_bottom s with
@@ -535,7 +536,7 @@ let solve_fixpoint t ~max_iters frames waiters =
         if j <> self_id then Store.touch t.store j;
         let s = Instance.slot_ix jinst jx in
         let jsi = slot_info jinst jx in
-        match Hashtbl.find_opt by_key (Symbol.pack j jsi.Schema.si_sym) with
+        match Int_tbl.find_opt by_key (Symbol.pack j jsi.Schema.si_sym) with
         | Some e -> if e.e_computed then Some s.Instance.value else None
         | None ->
           (match s.Instance.state with
@@ -630,7 +631,7 @@ let solve_fixpoint t ~max_iters frames waiters =
             s.Instance.state <- Instance.Up_to_date;
             Store.notify_write t.store e.e_inst.Instance.id e.e_si.Schema.si_name
               s.Instance.value;
-            Hashtbl.remove t.pending_important e.e_key;
+            Int_tbl.remove t.pending_important e.e_key;
             record_constraint_check t e.e_inst e.e_si s.Instance.value)
           entries;
         let tr = t.obs.Cactis_obs.Ctx.trace in
@@ -649,8 +650,8 @@ let solve_fixpoint t ~max_iters frames waiters =
 
 let run_eval_inner t roots =
   let sched = Sched.create t.sched t.store in
-  let frames : (int, frame) Hashtbl.t = Hashtbl.create 32 in
-  let waiters : (int, frame list ref) Hashtbl.t = Hashtbl.create 32 in
+  let frames : frame Int_tbl.t = Int_tbl.create 32 in
+  let waiters : frame list ref Int_tbl.t = Int_tbl.create 32 in
   let misses () = !(t.c_misses) in
   let demand_cost via j =
     if Store.resident t.store j then 0.0
@@ -665,9 +666,9 @@ let run_eval_inner t roots =
       (Demand { d_id = j; d_ix = jx; d_parent = parent; d_via = via })
   in
   let add_waiter key frame =
-    match Hashtbl.find_opt waiters key with
+    match Int_tbl.find_opt waiters key with
     | Some r -> r := frame :: !r
-    | None -> Hashtbl.add waiters key (ref [ frame ])
+    | None -> Int_tbl.add waiters key (ref [ frame ])
   in
   let schedule_finish frame = Sched.schedule sched ~instance:frame.f_id ~cost:0.0 (Finish frame) in
   let notify frame =
@@ -675,11 +676,11 @@ let run_eval_inner t roots =
     if frame.f_pending = 0 then schedule_finish frame
   in
   let notify_waiters key =
-    match Hashtbl.find_opt waiters key with
+    match Int_tbl.find_opt waiters key with
     | None -> ()
     | Some r ->
       let ws = !r in
-      Hashtbl.remove waiters key;
+      Int_tbl.remove waiters key;
       List.iter notify ws
   in
   (* Enumerate the out-of-date derived sources of the frame's attribute,
@@ -711,7 +712,7 @@ let run_eval_inner t roots =
     let key = Symbol.pack frame.f_id frame.f_sym in
     match Store.get_opt t.store frame.f_id with
     | None ->
-      Hashtbl.remove frames key;
+      Int_tbl.remove frames key;
       notify_waiters key
     | Some inst ->
       let before = misses () in
@@ -743,18 +744,18 @@ let run_eval_inner t roots =
       s.Instance.value <- v;
       s.Instance.state <- Instance.Up_to_date;
       Store.notify_write t.store frame.f_id si.Schema.si_name v;
-      Hashtbl.remove t.pending_important key;
-      Hashtbl.remove frames key;
+      Int_tbl.remove t.pending_important key;
+      Int_tbl.remove frames key;
       record_constraint_check t inst si v;
-      frame.f_cost <- frame.f_cost +. float_of_int (misses () - before);
+      frame.f_cost <- frame.f_cost + (misses () - before);
       (* Self-adaptive statistics: the link that requested this value
          learns what the request actually cost (§2.3). *)
       (match frame.f_via with
       | Some (i, rsym) ->
         if Store.mem t.store i then
-          Decaying_avg.observe (Store.link_tag_sym t.store i rsym) frame.f_cost
+          Decaying_avg.observe (Store.link_tag_sym t.store i rsym) (float_of_int frame.f_cost)
       | None -> ());
-      (match frame.f_parent with Some p -> p.f_cost <- p.f_cost +. frame.f_cost | None -> ());
+      (match frame.f_parent with Some p -> p.f_cost <- p.f_cost + frame.f_cost | None -> ());
       notify_waiters key
   in
   let run_demand d_id d_ix d_parent d_via =
@@ -790,18 +791,18 @@ let run_eval_inner t roots =
               f_ix = d_ix;
               f_sym = si.Schema.si_sym;
               f_pending = 0;
-              f_cost = float_of_int 0;
+              f_cost = 0;
               f_parent = d_parent;
               f_via = d_via;
             }
           in
-          Hashtbl.add frames key frame;
+          Int_tbl.add frames key frame;
           (* The parent's pending (incremented at demand time) is settled
              by the waiter notification when this frame finishes. *)
           (match d_parent with Some p -> add_waiter key p | None -> ());
           s.Instance.state <- Instance.In_progress;
           open_frame frame inst;
-          frame.f_cost <- frame.f_cost +. float_of_int (misses () - before);
+          frame.f_cost <- frame.f_cost + (misses () - before);
           if frame.f_pending = 0 then schedule_finish frame
         end)
   in
@@ -820,7 +821,7 @@ let run_eval_inner t roots =
   in
   let restore_open_frames () =
     (* A rule raising mid-run must not leave slots In_progress. *)
-    Hashtbl.iter
+    Int_tbl.iter
       (fun _ frame ->
         match Store.get_opt t.store frame.f_id with
         | Some inst ->
@@ -835,7 +836,7 @@ let run_eval_inner t roots =
      raise e);
   (* Any frame still pending after the scheduler drained is waiting on a
      value that can never arrive: a dependency cycle. *)
-  let stuck = Hashtbl.fold (fun _ frame acc -> frame :: acc) frames [] in
+  let stuck = Int_tbl.fold (fun _ frame acc -> frame :: acc) frames [] in
   if stuck <> [] then begin
     let solved =
       match t.fixpoint with
@@ -964,7 +965,7 @@ let invalidate_all t =
               (Instance.slot_ix inst ix).Instance.state <- Instance.Out_of_date;
               Store.notify_mark t.store id si.Schema.si_name;
               if important_si t id si then
-                Hashtbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) ()
+                Int_tbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) ()
             end)
           lay.Schema.lay_slots)
     (Store.instance_ids t.store)
@@ -1084,7 +1085,7 @@ let on_new_instance t id =
       Array.iter
         (fun (si : Schema.slot_info) ->
           if si.Schema.si_constrained then
-            Hashtbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) ())
+            Int_tbl.replace t.pending_important (Symbol.pack id si.Schema.si_sym) ())
         lay.Schema.lay_slots
     | Eager_triggers | Recompute_all ->
       Array.iteri
@@ -1096,9 +1097,9 @@ let on_new_instance t id =
 let on_delete_instance t id =
   let purge tbl =
     let stale =
-      Hashtbl.fold (fun k _ acc -> if Symbol.pack_id k = id then k :: acc else acc) tbl []
+      Int_tbl.fold (fun k _ acc -> if Symbol.pack_id k = id then k :: acc else acc) tbl []
     in
-    List.iter (Hashtbl.remove tbl) stale
+    List.iter (Int_tbl.remove tbl) stale
   in
   purge t.watched;
   purge t.pending_important
@@ -1121,7 +1122,7 @@ let after_attr_added t ~type_name ~attr =
           | Schema.Derived _ ->
             s.Instance.state <- Instance.Out_of_date;
             if important_si t id (slot_info inst ix) then
-              Hashtbl.replace t.pending_important (Symbol.pack id (Symbol.intern attr)) ())))
+              Int_tbl.replace t.pending_important (Symbol.pack id (Symbol.intern attr)) ())))
     (Store.instances_of_type t.store type_name)
 
 let after_attr_retracted t ~type_name ~attr =
@@ -1136,8 +1137,8 @@ let after_attr_retracted t ~type_name ~attr =
   List.iter
     (fun id ->
       let key = Symbol.pack id sym in
-      Hashtbl.remove t.watched key;
-      Hashtbl.remove t.pending_important key)
+      Int_tbl.remove t.watched key;
+      Int_tbl.remove t.pending_important key)
     (Store.instances_of_type t.store type_name)
 
 (* ------------------------------------------------------------------ *)
@@ -1162,7 +1163,7 @@ let read t ?(watch = true) id a =
     else begin
       (* "If the user explicitly requests the value of attributes (i.e.
          makes a query) they become important" (§2.2). *)
-      if watch then Hashtbl.replace t.watched (Symbol.pack id si.Schema.si_sym) ();
+      if watch then Int_tbl.replace t.watched (Symbol.pack id si.Schema.si_sym) ();
       let s = Instance.slot_ix inst ix in
       (match s.Instance.state with
       | Instance.Up_to_date -> ()
@@ -1182,7 +1183,7 @@ let read t ?(watch = true) id a =
    implementation (deterministic counters). *)
 let pending_roots t =
   let roots =
-    Hashtbl.fold
+    Int_tbl.fold
       (fun key () acc ->
         let id = Symbol.pack_id key and sym = Symbol.pack_sym key in
         match Store.get_opt t.store id with
@@ -1203,7 +1204,7 @@ let propagate t =
   match t.strategy with
   | Cactis ->
     let roots = pending_roots t in
-    Hashtbl.reset t.pending_important;
+    Int_tbl.reset t.pending_important;
     if roots <> [] then begin
       let start_ns = Clock.now_ns () in
       let observe () =
@@ -1225,11 +1226,11 @@ let propagate t =
     end
   | Eager_triggers | Recompute_all ->
     let roots = pending_roots t in
-    Hashtbl.reset t.pending_important;
+    Int_tbl.reset t.pending_important;
     List.iter (fun (id, _, ix) -> ignore (eval_rec t [] id ix)) roots;
     handle_violations t
 
-let pending_important_count t = Hashtbl.length t.pending_important
+let pending_important_count t = Int_tbl.length t.pending_important
 
 (* ------------------------------------------------------------------ *)
 (* Oracle: reference semantics with no caching and no I/O accounting   *)

@@ -19,7 +19,6 @@ type t = {
   layout : Schema.layout;
   mutable slots : slot array;
   mutable links : links array;
-  mutable alive : bool;
 }
 
 let fresh_slot (si : Schema.slot_info) =
@@ -37,7 +36,6 @@ let create ~id ~layout =
     layout;
     slots = Array.map fresh_slot layout.Schema.lay_slots;
     links = Array.init (Array.length layout.Schema.lay_links) (fun _ -> fresh_links ());
-    alive = true;
   }
 
 (* Extend the arrays up to the current layout after a DDL change.  New

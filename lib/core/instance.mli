@@ -37,7 +37,6 @@ type t = {
   layout : Schema.layout;
   mutable slots : slot array;  (** by slot index *)
   mutable links : links array;  (** by link index *)
-  mutable alive : bool;
 }
 
 (** [create ~id ~layout] materializes every declared slot: intrinsics at

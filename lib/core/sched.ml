@@ -1,5 +1,6 @@
 module Pqueue = Cactis_util.Pqueue
 module Pager = Cactis_storage.Pager
+module Int_tbl = Cactis_util.Int_tbl
 
 type strategy =
   | Fifo
@@ -19,7 +20,7 @@ type 'a t = {
   fifo : 'a entry Queue.t;
   high : 'a entry Queue.t;
   cost_heap : 'a entry Pqueue.t;
-  by_block : (int, 'a entry list ref) Hashtbl.t;
+  by_block : 'a entry list ref Int_tbl.t;
   mutable count : int;  (* live (unconsumed) entries *)
 }
 
@@ -30,7 +31,7 @@ let create strategy store =
     fifo = Queue.create ();
     high = Queue.create ();
     cost_heap = Pqueue.create ();
-    by_block = Hashtbl.create 64;
+    by_block = Int_tbl.create 64;
     count = 0;
   }
 
@@ -50,15 +51,15 @@ let schedule t ~instance ~cost payload =
       match Pager.block_of (Store.pager t.store) instance with
       | None -> ()
       | Some block -> (
-        match Hashtbl.find_opt t.by_block block with
+        match Int_tbl.find_opt t.by_block block with
         | Some r -> r := entry :: !r
-        | None -> Hashtbl.add t.by_block block (ref [ entry ]))
+        | None -> Int_tbl.add t.by_block block (ref [ entry ]))
     end
 
 (* Called when the chunk we are about to hand out will load [block]: all
    other pending chunks on that block become free and jump the queue. *)
 let promote_block t block =
-  match Hashtbl.find_opt t.by_block block with
+  match Int_tbl.find_opt t.by_block block with
   | None -> ()
   | Some r ->
     List.iter
@@ -68,7 +69,7 @@ let promote_block t block =
           Queue.push e t.high
         end)
       !r;
-    Hashtbl.remove t.by_block block
+    Int_tbl.remove t.by_block block
 
 let rec pop_queue q =
   match Queue.take_opt q with

@@ -4,12 +4,19 @@ module Cluster = Cactis_storage.Cluster
 module Counters = Cactis_util.Counters
 module Decaying_avg = Cactis_util.Decaying_avg
 module Symbol = Cactis_util.Symbol
+module Int_tbl = Cactis_util.Int_tbl
 
+(* Instances live in a dense table indexed by id: ids are allocated
+   densely from [next_id], so a lookup is one bounds-checked array read.
+   [by_id.(id)] holds [Some inst] exactly while [inst] is live, so
+   {!get_opt} returns the stored option without allocating, and
+   ascending-id views are plain scans. *)
 type t = {
   schema : Schema.t;
-  instances : (int, Instance.t) Hashtbl.t;
+  mutable by_id : Instance.t option array;
+  mutable live : int;  (* [Some] cells of [by_id] *)
   mutable next_id : int;
-  mutable ids_cache : int list option;  (* sorted live ids, invalidated on create/delete *)
+  mutable ids_cache : int list option;  (* live ids ascending, invalidated on create/delete *)
   pager : Pager.t;
   usage : Usage.t;
   counters : Counters.t;
@@ -18,7 +25,7 @@ type t = {
   c_misses : int ref;
   c_slot_writes : int ref;
   c_links : int ref;
-  link_tags : (int, Decaying_avg.t) Hashtbl.t;  (* packed (id, rel symbol) *)
+  link_tags : Decaying_avg.t Int_tbl.t;  (* packed (id, rel symbol) *)
   (* Incremental re-clustering plan: (id, target block) moves not yet
      applied.  [plan_pos] is the cursor; the plan is drained by
      {!recluster_step}. *)
@@ -34,7 +41,8 @@ let create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes schema 
   let counters = Counters.create () in
   {
     schema;
-    instances = Hashtbl.create 256;
+    by_id = Array.make 256 None;
+    live = 0;
     next_id = 1;
     ids_cache = Some [];
     pager = Pager.create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes ();
@@ -45,7 +53,7 @@ let create ?block_capacity ?buffer_capacity ?disk_path ?disk_block_bytes schema 
     c_misses = Counters.cell counters "block_misses";
     c_slot_writes = Counters.cell counters "slot_writes";
     c_links = Counters.cell counters "links_established";
-    link_tags = Hashtbl.create 256;
+    link_tags = Int_tbl.create 256;
     plan = [||];
     plan_pos = 0;
     write_observers = [];
@@ -69,35 +77,42 @@ let obs t = t.obs
 
 let link_tag_sym t id rel_sym =
   let key = Symbol.pack id rel_sym in
-  match Hashtbl.find_opt t.link_tags key with
+  match Int_tbl.find_opt t.link_tags key with
   | Some tag -> tag
   | None ->
     (* Worst-case initial estimate: one block per crossing. *)
     let tag = Decaying_avg.create ~initial:1.0 () in
-    Hashtbl.add t.link_tags key tag;
+    Int_tbl.add t.link_tags key tag;
     tag
 
 let link_tag t id rel = link_tag_sym t id (Symbol.intern rel)
 
-let get_opt t id =
-  match Hashtbl.find_opt t.instances id with
-  | Some inst when inst.Instance.alive -> Some inst
-  | Some _ | None -> None
+let get_opt t id = if id >= 0 && id < Array.length t.by_id then t.by_id.(id) else None
 
 let get t id =
   match get_opt t id with
   | Some inst -> inst
   | None -> Errors.unknown "no live instance %d" id
 
-let mem t id = get_opt t id <> None
+let mem t id = Option.is_some (get_opt t id)
+
+let install t id inst =
+  let n = Array.length t.by_id in
+  if id >= n then begin
+    let bigger = Array.make (max (id + 1) (2 * n)) None in
+    Array.blit t.by_id 0 bigger 0 n;
+    t.by_id <- bigger
+  end;
+  t.by_id.(id) <- Some inst;
+  t.live <- t.live + 1;
+  t.ids_cache <- None
 
 let create_instance t type_name =
   let layout = Schema.layout t.schema type_name in
   let id = t.next_id in
   t.next_id <- id + 1;
   let inst = Instance.create ~id ~layout in
-  Hashtbl.replace t.instances id inst;
-  t.ids_cache <- None;
+  install t id inst;
   Pager.register t.pager id;
   Counters.incr t.counters "instances_created";
   List.iter (fun f -> f id) t.create_observers;
@@ -110,8 +125,7 @@ let recreate_instance t ~id type_name =
   if mem t id then Errors.type_error "instance %d already live" id;
   let layout = Schema.layout t.schema type_name in
   let inst = Instance.create ~id ~layout in
-  Hashtbl.replace t.instances id inst;
-  t.ids_cache <- None;
+  install t id inst;
   Pager.register t.pager id;
   if id >= t.next_id then t.next_id <- id + 1;
   List.iter (fun f -> f id) t.create_observers;
@@ -122,29 +136,37 @@ let delete_instance t id =
   if Instance.all_links inst <> [] then
     Errors.type_error "instance %d still has links; break them before deleting" id;
   List.iter (fun f -> f id) t.delete_observers;
-  inst.Instance.alive <- false;
-  Hashtbl.remove t.instances id;
+  t.by_id.(id) <- None;
+  t.live <- t.live - 1;
   t.ids_cache <- None;
   Pager.forget t.pager id;
   Usage.forget_instance t.usage id;
   Counters.incr t.counters "instances_deleted"
 
+(* Fold over live instances from the highest id down, so consing
+   builds ascending lists. *)
+let fold_down t f acc =
+  let acc = ref acc in
+  for id = Array.length t.by_id - 1 downto 0 do
+    match t.by_id.(id) with Some inst -> acc := f !acc inst | None -> ()
+  done;
+  !acc
+
 let instance_ids t =
   match t.ids_cache with
   | Some ids -> ids
   | None ->
-    let ids = Hashtbl.fold (fun id _ acc -> id :: acc) t.instances [] |> List.sort compare in
+    let ids = fold_down t (fun acc inst -> inst.Instance.id :: acc) [] in
     t.ids_cache <- Some ids;
     ids
 
-let instance_count t = Hashtbl.length t.instances
+let instance_count t = t.live
 
 let instances_of_type t type_name =
-  Hashtbl.fold
-    (fun id (inst : Instance.t) acc ->
-      if String.equal inst.type_name type_name then id :: acc else acc)
-    t.instances []
-  |> List.sort compare
+  fold_down t
+    (fun acc (inst : Instance.t) ->
+      if String.equal inst.type_name type_name then inst.id :: acc else acc)
+    []
 
 let touch t id =
   Usage.touch_instance t.usage id;
@@ -294,7 +316,7 @@ let usage_snapshot t =
    estimates for the decaying averages (§2.3): a link whose two ends now
    share a block costs 0 extra blocks in the worst case, 1 otherwise. *)
 let reseed_link_tags t =
-  Hashtbl.iter
+  Int_tbl.iter
     (fun key tag ->
       let id = Symbol.pack_id key in
       let rel = Symbol.name (Symbol.pack_sym key) in

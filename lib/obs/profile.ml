@@ -1,9 +1,11 @@
+module Int_tbl = Cactis_util.Int_tbl
+
 type t = {
   mutable nodes_marked : int;
   mutable edges_walked : int;
   mutable cutoffs : int;
   mutable evals : int;
-  evaluated : (int, int) Hashtbl.t;  (* packed key -> evals since last invalidation *)
+  evaluated : int Int_tbl.t;  (* packed key -> evals since last invalidation *)
   mutable max_evals : int;  (* high-water mark, survives re-marking *)
 }
 
@@ -24,7 +26,7 @@ let create () =
     edges_walked = 0;
     cutoffs = 0;
     evals = 0;
-    evaluated = Hashtbl.create 64;
+    evaluated = Int_tbl.create 64;
     max_evals = 0;
   }
 
@@ -34,20 +36,20 @@ let reset t =
   t.cutoffs <- 0;
   t.evals <- 0;
   t.max_evals <- 0;
-  Hashtbl.reset t.evaluated
+  Int_tbl.reset t.evaluated
 
 let on_mark t ~key =
   t.nodes_marked <- t.nodes_marked + 1;
   (* Invalidation re-arms the slot: one more evaluation is legitimate. *)
-  Hashtbl.remove t.evaluated key
+  Int_tbl.remove t.evaluated key
 
 let on_cutoff t = t.cutoffs <- t.cutoffs + 1
 let on_edge t = t.edges_walked <- t.edges_walked + 1
 
 let on_eval t ~key =
   t.evals <- t.evals + 1;
-  let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.evaluated key) in
-  Hashtbl.replace t.evaluated key n;
+  let n = 1 + Option.value ~default:0 (Int_tbl.find_opt t.evaluated key) in
+  Int_tbl.replace t.evaluated key n;
   if n > t.max_evals then t.max_evals <- n
 
 let snapshot t =
@@ -56,7 +58,7 @@ let snapshot t =
     p_edges_walked = t.edges_walked;
     p_cutoffs = t.cutoffs;
     p_evals = t.evals;
-    p_distinct_evaluated = Hashtbl.length t.evaluated;
+    p_distinct_evaluated = Int_tbl.length t.evaluated;
     p_max_evals_per_attr = t.max_evals;
     p_bound = t.nodes_marked + t.edges_walked;
     p_work = t.nodes_marked + t.cutoffs + t.evals;

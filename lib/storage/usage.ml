@@ -1,4 +1,5 @@
 module Symbol = Cactis_util.Symbol
+module Int_tbl = Cactis_util.Int_tbl
 
 type crossing = {
   from_instance : int;
@@ -6,29 +7,34 @@ type crossing = {
   to_instance : int;
 }
 
-(* Crossings are canonicalized so that (a, r, b) and (b, r, a) share a
-   counter: the paper accumulates a single usage count per relationship
-   link regardless of traversal direction.  Keys hold the interned
-   relationship symbol so recording a crossing never hashes a string. *)
-type key = {
-  k_lo : int;
-  k_rel : int;  (* interned relationship name *)
-  k_hi : int;
-}
-
-let canon ~from_instance ~rel_sym ~to_instance =
-  if from_instance <= to_instance then { k_lo = from_instance; k_rel = rel_sym; k_hi = to_instance }
-  else { k_lo = to_instance; k_rel = rel_sym; k_hi = from_instance }
-
 (* Instance ids are small dense ints, so per-instance reference counts
    live in a flat array (grown on demand) rather than a hash table — the
-   engine bumps one on every instance touch. *)
+   engine bumps one on every instance touch.
+
+   Crossing counts live in one flat open-addressing table (linear
+   probing) of three-int cells: the packed (lo id, relationship symbol),
+   the hi id, and the count.  Crossings are canonicalized so that
+   (a, r, b) and (b, r, a) share a cell: the paper accumulates a single
+   usage count per relationship link regardless of traversal direction.
+   Recording a crossing hashes two ints, reads about one cache line and
+   allocates nothing. *)
 type t = {
   mutable instance_counts : int array;
-  crossing_counts : (key, int ref) Hashtbl.t;
+  mutable cells : int array;  (* 3 ints per cell; key [empty] = free *)
+  mutable mask : int;  (* cell count - 1; the cell count is a power of two *)
+  mutable used : int;  (* occupied cells, at most 3/4 of them *)
 }
 
-let create () = { instance_counts = Array.make 64 0; crossing_counts = Hashtbl.create 64 }
+let empty = -1
+let initial_cells = 64
+
+let create () =
+  {
+    instance_counts = Array.make 64 0;
+    cells = Array.make (3 * initial_cells) empty;
+    mask = initial_cells - 1;
+    used = 0;
+  }
 
 let ensure t id =
   let n = Array.length t.instance_counts in
@@ -46,16 +52,48 @@ let touch_instance t id =
     t.instance_counts.(id) <- t.instance_counts.(id) + 1
   end
 
-let cell tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r
-  | None ->
-    let r = ref 0 in
-    Hashtbl.add tbl key r;
-    r
+(* The cell holding (key, hi), or the free cell where it belongs. *)
+let rec probe cells mask key hi i =
+  let k = cells.(3 * i) in
+  if k = empty || (k = key && cells.((3 * i) + 1) = hi) then i
+  else probe cells mask key hi ((i + 1) land mask)
+
+let find_cell cells mask key hi =
+  probe cells mask key hi (Int_tbl.hash (key lxor Int_tbl.hash hi) land mask)
+
+(* Rebuild the table with [n] cells, keeping the entries [keep] accepts. *)
+let rebuild t n ~keep =
+  let old = t.cells in
+  let cells = Array.make (3 * n) empty and mask = n - 1 in
+  let used = ref 0 in
+  for i = 0 to (Array.length old / 3) - 1 do
+    let key = old.(3 * i) and hi = old.((3 * i) + 1) in
+    if key <> empty && keep key hi then begin
+      let j = find_cell cells mask key hi in
+      cells.(3 * j) <- key;
+      cells.((3 * j) + 1) <- hi;
+      cells.((3 * j) + 2) <- old.((3 * i) + 2);
+      incr used
+    end
+  done;
+  t.cells <- cells;
+  t.mask <- mask;
+  t.used <- !used
 
 let cross_sym t ~from_instance ~rel_sym ~to_instance =
-  incr (cell t.crossing_counts (canon ~from_instance ~rel_sym ~to_instance))
+  let lo = Int.min from_instance to_instance and hi = Int.max from_instance to_instance in
+  let key = Symbol.pack lo rel_sym in
+  let cells = t.cells in
+  let i = find_cell cells t.mask key hi in
+  if cells.(3 * i) = key then cells.((3 * i) + 2) <- cells.((3 * i) + 2) + 1
+  else begin
+    cells.(3 * i) <- key;
+    cells.((3 * i) + 1) <- hi;
+    cells.((3 * i) + 2) <- 1;
+    t.used <- t.used + 1;
+    let n = t.mask + 1 in
+    if 4 * t.used > 3 * n then rebuild t (2 * n) ~keep:(fun _ _ -> true)
+  end
 
 let cross t ~from_instance ~rel ~to_instance =
   cross_sym t ~from_instance ~rel_sym:(Symbol.intern rel) ~to_instance
@@ -64,39 +102,55 @@ let instance_count t id =
   if id < Array.length t.instance_counts then t.instance_counts.(id) else 0
 
 let crossing_count t ~from_instance ~rel ~to_instance =
-  match
-    Hashtbl.find_opt t.crossing_counts
-      (canon ~from_instance ~rel_sym:(Symbol.intern rel) ~to_instance)
-  with
-  | Some r -> !r
-  | None -> 0
+  let lo = Int.min from_instance to_instance and hi = Int.max from_instance to_instance in
+  let key = Symbol.pack lo (Symbol.intern rel) in
+  let i = find_cell t.cells t.mask key hi in
+  if t.cells.(3 * i) = key then t.cells.((3 * i) + 2) else 0
 
 let instances t =
   let acc = ref [] in
   Array.iteri (fun id c -> if c > 0 then acc := (id, c) :: !acc) t.instance_counts;
   !acc
 
+let fold_cells t f acc =
+  let acc = ref acc in
+  for i = 0 to t.mask do
+    let key = t.cells.(3 * i) in
+    if key <> empty then acc := f key t.cells.((3 * i) + 1) t.cells.((3 * i) + 2) !acc
+  done;
+  !acc
+
 let crossings t =
-  Hashtbl.fold
-    (fun k r acc ->
-      ({ from_instance = k.k_lo; rel = Symbol.name k.k_rel; to_instance = k.k_hi }, !r) :: acc)
-    t.crossing_counts []
+  fold_cells t
+    (fun key hi count acc ->
+      ( {
+          from_instance = Symbol.pack_id key;
+          rel = Symbol.name (Symbol.pack_sym key);
+          to_instance = hi;
+        },
+        count )
+      :: acc)
+    []
 
 let rel_totals t =
-  let totals = Hashtbl.create 16 in
-  Hashtbl.iter (fun k r -> let c = cell totals k.k_rel in c := !c + !r) t.crossing_counts;
-  Hashtbl.fold (fun sym r acc -> (Symbol.name sym, !r) :: acc) totals []
+  let totals = Int_tbl.create 16 in
+  fold_cells t
+    (fun key _ count () ->
+      let sym = Symbol.pack_sym key in
+      let prev = Option.value (Int_tbl.find_opt totals sym) ~default:0 in
+      Int_tbl.replace totals sym (prev + count))
+    ();
+  Int_tbl.fold (fun sym c acc -> (Symbol.name sym, c) :: acc) totals []
   |> List.sort (fun (a, ca) (b, cb) -> match compare cb ca with 0 -> compare a b | c -> c)
 
 let forget_instance t id =
   if id < Array.length t.instance_counts then t.instance_counts.(id) <- 0;
-  let stale =
-    Hashtbl.fold
-      (fun k _ acc -> if k.k_lo = id || k.k_hi = id then k :: acc else acc)
-      t.crossing_counts []
-  in
-  List.iter (Hashtbl.remove t.crossing_counts) stale
+  let mentions key hi = Symbol.pack_id key = id || hi = id in
+  if fold_cells t (fun key hi _ found -> found || mentions key hi) false then
+    rebuild t (t.mask + 1) ~keep:(fun key hi -> not (mentions key hi))
 
 let reset t =
   Array.fill t.instance_counts 0 (Array.length t.instance_counts) 0;
-  Hashtbl.reset t.crossing_counts
+  t.cells <- Array.make (3 * initial_cells) empty;
+  t.mask <- initial_cells - 1;
+  t.used <- 0

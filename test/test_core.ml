@@ -256,6 +256,42 @@ let test_delete_and_undo_delete () =
   Db.undo_last db;
   check_value "undo delete restores value and links" "12" (vstr (Db.get db head "total"))
 
+(* The dense instance table grows past its initial capacity (256) and
+   keeps its ascending views and live count exact through creates,
+   deletes and the undo of deletes. *)
+let test_instance_table_views () =
+  let sch = milestone_schema () in
+  Schema.add_type sch "tag";
+  let db = Db.create sch in
+  let store = Db.store db in
+  let check_views msg expected =
+    let of_type ty = List.filter (fun id -> Db.type_of db id = ty) expected in
+    Alcotest.(check (list int)) (msg ^ ": ids") expected (Store.instance_ids store);
+    Alcotest.(check int) (msg ^ ": count") (List.length expected) (Store.instance_count store);
+    Alcotest.(check (list int)) (msg ^ ": nodes") (of_type "node") (Store.instances_of_type store "node");
+    Alcotest.(check (list int)) (msg ^ ": tags") (of_type "tag") (Store.instances_of_type store "tag")
+  in
+  let ids =
+    List.init 700 (fun i -> Db.create_instance db (if i mod 3 = 0 then "tag" else "node"))
+  in
+  check_views "created" ids;
+  let doomed = List.filter (fun id -> id mod 7 = 0 || id > 650) ids in
+  List.iter (Db.delete_instance db) doomed;
+  let survivors = List.filter (fun id -> not (List.mem id doomed)) ids in
+  check_views "deleted" survivors;
+  Alcotest.(check bool) "deleted id is absent" false (Store.mem store (List.hd doomed));
+  Alcotest.(check bool) "negative id is absent" false (Store.mem store (-1));
+  Alcotest.(check bool) "id past the table is absent" false (Store.mem store 100_000);
+  (* Undo the last 50 deletes: ids 651..700 come back. *)
+  for _ = 1 to 50 do
+    Db.undo_last db
+  done;
+  let restored = List.filter (fun id -> id > 650) ids in
+  check_views "undone" (List.sort compare (survivors @ restored));
+  let fresh = Db.create_instance db "node" in
+  Alcotest.(check bool) "fresh id above every id" true (fresh > 700);
+  check_views "fresh" (List.sort compare (fresh :: survivors @ restored))
+
 let test_versions () =
   let db = Db.create (milestone_schema ()) in
   let ids = chain db 3 in
@@ -328,6 +364,7 @@ let () =
           Alcotest.test_case "constraint rollback" `Quick test_constraint_rollback;
           Alcotest.test_case "constraint recovery" `Quick test_constraint_recovery;
           Alcotest.test_case "delete & undo" `Quick test_delete_and_undo_delete;
+          Alcotest.test_case "instance table views" `Quick test_instance_table_views;
           Alcotest.test_case "versions" `Quick test_versions;
         ] );
       ( "schema",

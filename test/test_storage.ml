@@ -189,6 +189,65 @@ let test_usage_counts () =
   Alcotest.(check int) "crossings forgotten" 0
     (Usage.crossing_count u ~from_instance:1 ~rel:"r" ~to_instance:2)
 
+(* The flat crossing table against a plain Hashtbl model over the
+   canonical (lo, rel, hi) triple.  Ids range over 0..79 with three
+   relationship names, so a long run holds a few hundred distinct
+   crossings and grows the table (64 cells at first) several times;
+   every tenth op forgets an instance. *)
+let prop_usage_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (9, map3 (fun a r b -> `Cross (a, r, b)) (int_bound 79) (oneofl [ "r"; "s"; "t" ]) (int_bound 79));
+          (1, map (fun a -> `Forget a) (int_bound 79));
+        ])
+  in
+  let print_op = function
+    | `Cross (a, r, b) -> Printf.sprintf "cross %d %s %d" a r b
+    | `Forget a -> Printf.sprintf "forget %d" a
+  in
+  QCheck.Test.make ~name:"usage crossings match a Hashtbl model across resizes" ~count:100
+    (QCheck.make ~print:(QCheck.Print.list print_op) QCheck.Gen.(list_size (int_range 0 1500) op))
+    (fun ops ->
+      let u = Usage.create () in
+      let model = Hashtbl.create 64 in
+      List.iter
+        (function
+          | `Cross (a, rel, b) ->
+            Usage.cross u ~from_instance:a ~rel ~to_instance:b;
+            let key = (min a b, rel, max a b) in
+            Hashtbl.replace model key (1 + Option.value ~default:0 (Hashtbl.find_opt model key))
+          | `Forget id ->
+            Usage.forget_instance u id;
+            Hashtbl.filter_map_inplace
+              (fun (lo, _, hi) c -> if lo = id || hi = id then None else Some c)
+              model)
+        ops;
+      let expected = Hashtbl.fold (fun k c acc -> (k, c) :: acc) model [] |> List.sort compare in
+      let crossings =
+        Usage.crossings u
+        |> List.map (fun ({ Usage.from_instance; rel; to_instance }, c) ->
+               ((from_instance, rel, to_instance), c))
+        |> List.sort compare
+      in
+      let totals = Hashtbl.create 4 in
+      List.iter
+        (fun ((_, rel, _), c) ->
+          Hashtbl.replace totals rel (c + Option.value ~default:0 (Hashtbl.find_opt totals rel)))
+        expected;
+      let expected_totals =
+        Hashtbl.fold (fun r c acc -> (r, c) :: acc) totals []
+        |> List.sort (fun (a, ca) (b, cb) -> match compare cb ca with 0 -> compare a b | c -> c)
+      in
+      crossings = expected
+      && List.for_all
+           (fun ((lo, rel, hi), c) ->
+             Usage.crossing_count u ~from_instance:hi ~rel ~to_instance:lo = c)
+           expected
+      && Usage.crossing_count u ~from_instance:80 ~rel:"r" ~to_instance:0 = 0
+      && Usage.rel_totals u = expected_totals)
+
 (* ---- Clustering ---- *)
 
 let test_cluster_paper_algorithm () =
@@ -456,7 +515,7 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_pool_capacity; prop_pool_immediate_rehit; prop_cluster_partition;
-      prop_every_strategy_partitions; prop_pool_reference_lru;
+      prop_every_strategy_partitions; prop_pool_reference_lru; prop_usage_model;
     ]
 
 let () =

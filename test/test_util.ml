@@ -175,6 +175,24 @@ let test_table_fmt () =
 
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_pqueue_sorts; prop_pqueue_length ]
 
+(* Packed keys keep their symbol in the low bits, which a table takes
+   its bucket index from: 10^5 keys of one symbol must still spread. *)
+let test_int_tbl_spreads_packed_keys () =
+  let module Int_tbl = Cactis_util.Int_tbl in
+  let module Symbol = Cactis_util.Symbol in
+  let sym = Symbol.intern "int_tbl_test_attr" in
+  let n = 100_000 in
+  let t = Int_tbl.create 16 in
+  for id = 1 to n do
+    Int_tbl.replace t (Symbol.pack id sym) id
+  done;
+  let st = Int_tbl.stats t in
+  Alcotest.(check int) "all keys present" n (Int_tbl.length t);
+  Alcotest.(check (option int)) "lookup" (Some 777) (Int_tbl.find_opt t (Symbol.pack 777 sym));
+  if st.Hashtbl.max_bucket_length > 8 then
+    Alcotest.failf "max bucket length %d over %d buckets" st.Hashtbl.max_bucket_length
+      st.Hashtbl.num_buckets
+
 let () =
   Alcotest.run "cactis-util"
     [
@@ -203,6 +221,9 @@ let () =
           Alcotest.test_case "asymmetric diff" `Quick test_counters_diff_asymmetric;
         ] );
       ("vtime", [ Alcotest.test_case "basics" `Quick test_vtime ]);
+      ( "int-tbl",
+        [ Alcotest.test_case "packed keys of one symbol spread" `Quick test_int_tbl_spreads_packed_keys ]
+      );
       ( "ascii-table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
