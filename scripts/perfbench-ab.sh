@@ -10,15 +10,16 @@
 # checkouts run `perfbench/run.py --trace 0` once per seed, alternating
 # which side runs first.  The script then prints, per end-to-end metric,
 # each side's median and quartiles, the ratio of medians, how many seed
-# pairs the working tree won, and whether the metric regressed past its
-# BENCHMARK.json bound.  Last, it diffs the two binaries' exact-count
+# pairs the working tree won, and a verdict: a regression past the
+# metric's BENCHMARK.json bound, or a gain (at least 10 pairs, 9 in 10
+# won, medians further apart than the base runs' interquartile range).  Last, it diffs the two binaries' exact-count
 # ledgers (.bench_work/counts) seed by seed: they must be identical.
 #
 # Environment: N seeds (default 10) starting at FIRST_SEED (default 1),
 # RUN_SECONDS per run (default: BENCHMARK.json's run_seconds), AB_DIR
-# for the scratch directory (default: a fresh mktemp -d, removed at the
-# end unless KEEP=1).  Exits 1 if a run failed its correctness checks
-# or a ledger differs.
+# for a scratch directory that is kept, with results.jsonl and the run
+# logs (default: a fresh mktemp -d, removed at the end).  Exits 1 if a
+# run failed its correctness checks or a ledger differs.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -43,7 +44,7 @@ scratch=${AB_DIR:-$(mktemp -d "${TMPDIR:-/tmp}/perfbench-ab.XXXXXX")}
 base="$scratch/base"
 rm -rf "$base"
 mkdir -p "$base"
-cleanup() { if [ "${KEEP:-0}" != 1 ] && [ -z "${AB_DIR:-}" ]; then rm -rf "$scratch"; fi; }
+cleanup() { if [ -z "${AB_DIR:-}" ]; then rm -rf "$scratch"; fi; }
 trap cleanup EXIT
 git archive --format=tar "$commit" | tar -x -C "$base"
 results="$scratch/results.jsonl"
@@ -56,6 +57,7 @@ run() {
   local side=$1 dir=$2 workload=$3 seed=$4 out
   out=$(cd "$dir" && python3 perfbench/run.py --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 2>>"$scratch/$side.log" | tail -n 1) || true
+  python3 -c 'import json, sys; json.loads(sys.argv[1])' "$out" 2>/dev/null || out=null
   printf '{"side": "%s", "workload": "%s", "seed": %d, "result": %s}\n' \
     "$side" "$workload" "$seed" "${out:-null}" >>"$results"
 }
@@ -124,7 +126,7 @@ for w in dict.fromkeys(r["workload"] for r in rows):
         worse = (ratio - 1) if lower else (1 - ratio)
         if worse > m["bound"]:
             verdict = f"REGRESSION (bound {m['bound']:.0%})"
-        elif wins >= 0.9 * len(pairs) and abs(hm - bm) > (bq3 - bq1):
+        elif len(pairs) >= 10 and wins >= 0.9 * len(pairs) and abs(hm - bm) > (bq3 - bq1):
             verdict = "gain"
         else:
             verdict = "within bound"
