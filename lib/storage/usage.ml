@@ -58,17 +58,17 @@ let rec probe cells mask key hi i =
   if k = empty || (k = key && cells.((3 * i) + 1) = hi) then i
   else probe cells mask key hi ((i + 1) land mask)
 
-let find_cell cells mask key hi =
-  probe cells mask key hi (Int_tbl.hash (key lxor Int_tbl.hash hi) land mask)
+let home mask key hi = Int_tbl.hash (key lxor Int_tbl.hash hi) land mask
+let find_cell cells mask key hi = probe cells mask key hi (home mask key hi)
 
-(* Rebuild the table with [n] cells, keeping the entries [keep] accepts. *)
-let rebuild t n ~keep =
+(* Rebuild the table with [n] cells. *)
+let rebuild t n =
   let old = t.cells in
   let cells = Array.make (3 * n) empty and mask = n - 1 in
   let used = ref 0 in
   for i = 0 to (Array.length old / 3) - 1 do
     let key = old.(3 * i) and hi = old.((3 * i) + 1) in
-    if key <> empty && keep key hi then begin
+    if key <> empty then begin
       let j = find_cell cells mask key hi in
       cells.(3 * j) <- key;
       cells.((3 * j) + 1) <- hi;
@@ -92,7 +92,7 @@ let cross_sym t ~from_instance ~rel_sym ~to_instance =
     cells.((3 * i) + 2) <- 1;
     t.used <- t.used + 1;
     let n = t.mask + 1 in
-    if 4 * t.used > 3 * n then rebuild t (2 * n) ~keep:(fun _ _ -> true)
+    if 4 * t.used > 3 * n then rebuild t (2 * n)
   end
 
 let cross t ~from_instance ~rel ~to_instance =
@@ -143,11 +143,42 @@ let rel_totals t =
   Int_tbl.fold (fun sym c acc -> (Symbol.name sym, c) :: acc) totals []
   |> List.sort (fun (a, ca) (b, cb) -> match compare cb ca with 0 -> compare a b | c -> c)
 
+(* Empty cell [i] by backward-shift deletion: walking the rest of the
+   probe run, each entry whose home cell does not lie between the gap
+   and the entry moves back into the gap, so the table needs no
+   tombstones and every remaining entry stays reachable from its home
+   cell. *)
+let delete_cell t i =
+  let cells = t.cells and mask = t.mask in
+  let rec shift gap j =
+    let key = cells.(3 * j) in
+    if key = empty then gap
+    else begin
+      let h = home mask key cells.((3 * j) + 1) in
+      (* The entry at [j] stays put iff its home lies cyclically in (gap, j]. *)
+      if (j - h) land mask < (j - gap) land mask then shift gap ((j + 1) land mask)
+      else begin
+        Array.blit cells (3 * j) cells (3 * gap) 3;
+        shift j ((j + 1) land mask)
+      end
+    end
+  in
+  let gap = shift i ((i + 1) land mask) in
+  cells.(3 * gap) <- empty;
+  t.used <- t.used - 1
+
+(* A deletion at [i] only moves entries into cells at or after [i] within
+   its probe run, so re-checking [i] before moving on visits every entry
+   once, and entries that wrap to the front were already checked. *)
 let forget_instance t id =
   if id < Array.length t.instance_counts then t.instance_counts.(id) <- 0;
-  let mentions key hi = Symbol.pack_id key = id || hi = id in
-  if fold_cells t (fun key hi _ found -> found || mentions key hi) false then
-    rebuild t (t.mask + 1) ~keep:(fun key hi -> not (mentions key hi))
+  let i = ref 0 in
+  while !i <= t.mask do
+    let key = t.cells.(3 * !i) in
+    if key <> empty && (Symbol.pack_id key = id || t.cells.((3 * !i) + 1) = id) then
+      delete_cell t !i
+    else incr i
+  done
 
 let reset t =
   Array.fill t.instance_counts 0 (Array.length t.instance_counts) 0;

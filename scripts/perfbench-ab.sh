@@ -10,16 +10,24 @@
 # checkouts run `perfbench/run.py --trace 0` once per seed, alternating
 # which side runs first.  The script then prints, per end-to-end metric,
 # each side's median and quartiles, the ratio of medians, how many seed
-# pairs the working tree won, and a verdict: a regression past the
-# metric's BENCHMARK.json bound, or a gain (at least 10 pairs, 9 in 10
-# won, medians further apart than the base runs' interquartile range).  Last, it diffs the two binaries' exact-count
-# ledgers (.bench_work/counts) seed by seed: they must be identical.
+# pairs the working tree won, and a verdict:
+#   REGRESSION    the median is worse than the metric's BENCHMARK.json
+#                 bound;
+#   unresolved    the base runs' interquartile range, relative to their
+#                 median, is wider than the bound and the two sides'
+#                 runs overlap (not every head run beats every base run);
+#   gain          at least 10 pairs, 9 in 10 won, medians further apart
+#                 than the base runs' interquartile range, and head failed
+#                 no larger share of its operations than base;
+#   within bound  otherwise.
+# Last, it diffs the two binaries' exact-count ledgers
+# (.bench_work/counts) seed by seed: they must be identical.
 #
-# Environment: N seeds (default 10) starting at FIRST_SEED (default 1),
-# RUN_SECONDS per run (default: BENCHMARK.json's run_seconds), AB_DIR
-# for a scratch directory that is kept, with results.jsonl and the run
-# logs (default: a fresh mktemp -d, removed at the end).  Exits 1 if a
-# run failed its correctness checks or a ledger differs.
+# Every run lasts BENCHMARK.json's run_seconds.  Environment: N seeds
+# (default 10) starting at FIRST_SEED (default 1), AB_DIR for a scratch
+# directory that is kept, with results.jsonl and the run logs (default:
+# a fresh mktemp -d, removed at the end).  Exits 1 if a run failed its
+# correctness checks or a ledger differs.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -33,7 +41,7 @@ cd "$root"
 commit=$(git rev-parse --verify "$rev^{commit}")
 n=${N:-10}
 first=${FIRST_SEED:-1}
-seconds=${RUN_SECONDS:-$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')}
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 if [ $# -gt 0 ]; then
   workloads=("$@")
 else
@@ -101,12 +109,14 @@ for w in dict.fromkeys(r["workload"] for r in rows):
         if r["workload"] == w:
             side[r["side"]][r["seed"]] = r["result"]
     print(f"\n== {w}")
+    fails = {}
     for s in ("base", "head"):
         res = [x for x in side[s].values() if x]
         att = sum(x["attempted"] for x in res)
         fail = sum(x["failed"] for x in res)
         wrong = len(side[s]) - sum(1 for x in res if x["correct"])
         bad |= wrong > 0
+        fails[s] = fail / att if att else 0.0
         print(f"   {s}: {len(res)} runs, {att} ops attempted, {fail} failed, {wrong} runs not correct")
     print(f"   {'metric':<12} {'base p50 [q1, q3]':>30} {'head p50 [q1, q3]':>30} {'ratio':>7} {'wins':>6}  verdict")
     seeds = sorted(set(side["base"]) & set(side["head"]))
@@ -124,9 +134,13 @@ for w in dict.fromkeys(r["workload"] for r in rows):
         wins = sum(1 for x, y in pairs if (y < x if lower else y > x))
         ratio = hm / bm if bm else float("nan")
         worse = (ratio - 1) if lower else (1 - ratio)
+        separated = max(h) < min(b) if lower else min(h) > max(b)
         if worse > m["bound"]:
             verdict = f"REGRESSION (bound {m['bound']:.0%})"
-        elif len(pairs) >= 10 and wins >= 0.9 * len(pairs) and abs(hm - bm) > (bq3 - bq1):
+        elif bm and (bq3 - bq1) / abs(bm) > m["bound"] and not separated:
+            verdict = f"unresolved (base IQR {(bq3 - bq1) / abs(bm):.0%} > bound)"
+        elif (len(pairs) >= 10 and wins >= 0.9 * len(pairs) and abs(hm - bm) > (bq3 - bq1)
+              and fails["head"] <= fails["base"]):
             verdict = "gain"
         else:
             verdict = "within bound"
